@@ -2,10 +2,10 @@
 sequential video feeds, with a synthetic log generator whose planted
 structure makes every claim checkable."""
 
+from .artifacts import DatasetFormatError
 from .datamodel import (
     DEFAULT_CAP_Q,
     Dataset,
-    DatasetFormatError,
     ImpressionRecord,
     LabeledExample,
     Session,

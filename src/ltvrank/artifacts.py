@@ -1,0 +1,79 @@
+"""The envelope every pipeline artifact shares, and its atomic writer and
+strict reader.
+
+An artifact is UTF-8 text with ``\\n`` line ends: a ``#ltvrank-<kind> v1``
+header, an optional ``#meta <meta>`` line, then one record per line with
+tab-separated fields. It is written to ``<path>.tmp`` and renamed into
+place, so a reader sees either the old file or the whole new one. Each
+module keeps only its own record format.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Callable, Iterable
+
+
+class DatasetFormatError(ValueError):
+    """An artifact could not be parsed; names the file and line."""
+
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.path = str(path)
+        self.line_no = line_no
+
+
+def fmt_real(x: float) -> str:
+    """Serialize a real with shortest round-trip precision."""
+    return repr(float(x))
+
+
+def _header(kind: str) -> str:
+    return f"#ltvrank-{kind} v1"
+
+
+def write(path, kind: str, lines: Iterable[str], meta: str | None = None) -> None:
+    """Write the header, the ``#meta`` line if given and one line per record,
+    then rename the finished file into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_header(kind) + "\n")
+        if meta:
+            fh.write(f"#meta {meta}\n")
+        for line in lines:
+            fh.write(line + "\n")
+    os.replace(tmp, path)
+
+
+def read(path, kind: str, parse: Callable[[list[str]], object]) -> list:
+    """``parse(fields)`` of every record line, in file order.
+
+    Comment and blank lines are skipped. A wrong header, a last line cut
+    short of its newline, or a ``ValueError``/``IndexError`` from ``parse``
+    raises DatasetFormatError naming ``path:line``.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.rstrip("\n") != _header(kind):
+            raise DatasetFormatError(path, 1, f"bad header {first.rstrip()!r}")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.endswith("\n"):
+                raise DatasetFormatError(path, line_no, "truncated record (missing newline)")
+            if line == "\n" or line.startswith("#"):
+                continue
+            try:
+                out.append(parse(line[:-1].split("\t")))
+            except (ValueError, IndexError) as exc:
+                raise DatasetFormatError(path, line_no, f"malformed record: {exc}") from None
+    return out
+
+
+def has_meta(path, meta: str) -> bool:
+    """Whether ``path`` exists and its second line is ``#meta <meta>``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            return fh.readline() == f"#meta {meta}\n"
+    except OSError:
+        return False

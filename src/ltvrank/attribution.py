@@ -14,12 +14,13 @@ exactly (tests enforce this).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, Session, fmt_real, DEFAULT_CAP_Q
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset, Session, DEFAULT_CAP_Q
 
 FLAG_NAMES = ("pos", "col", "rec", "v2v", "mm", "auth", "cat")
 
@@ -47,14 +48,6 @@ class AttributionConfig:
 
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[d] for d in FLAG_NAMES])
-
-
-@dataclass(frozen=True)
-class AttributionStrength:
-    j: int
-    i: int
-    flags: dict[str, int]
-    c_ji: float
 
 
 def _v2v_hit(a, b, threshold: float) -> bool:
@@ -100,11 +93,6 @@ def combine_strength(flags: dict[str, int], config: AttributionConfig) -> float:
         return 1.0 if sum(flags.values()) > 0 else 0.0
     z = sum(config.weights[d] * flags[d] for d in FLAG_NAMES)
     return float(1.0 / (1.0 + np.exp(-z)))
-
-
-def pair_strength(session: Session, j: int, i: int, config: AttributionConfig) -> AttributionStrength:
-    flags = pair_flags(session, j, i, config)
-    return AttributionStrength(j=j, i=i, flags=flags, c_ji=combine_strength(flags, config))
 
 
 def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[str, np.ndarray]:
@@ -239,13 +227,10 @@ def table1_diagnostics(dataset: Dataset, config: AttributionConfig) -> dict[str,
 def save_diagnostics(path, diag: dict[str, tuple[float, float]],
                      meta: str | None = None) -> None:
     """Plot-ready diagnostics table: dimension, S_ratio, V_ratio."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-attribution-diagnostics v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        fh.write("dimension\ts_ratio\tv_ratio\n")
+    def lines():
+        yield "dimension\ts_ratio\tv_ratio"
         for d in FLAG_NAMES:
             s, v = diag[d]
-            fh.write(f"{d}\t{fmt_real(s)}\t{fmt_real(v)}\n")
-    os.replace(tmp, path)
+            yield f"{d}\t{fmt_real(s)}\t{fmt_real(v)}"
+
+    artifacts.write(path, "attribution-diagnostics", lines(), meta)

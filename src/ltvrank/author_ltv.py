@@ -8,13 +8,14 @@ day t with the matured day t-N, whose labels are complete by day t.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, fmt_real
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset
 
 DEFAULT_WINDOW_N = 7
 DEFAULT_DECAY_ALPHA = 0.8
@@ -135,25 +136,15 @@ def audit_no_leakage(plan: DualStreamBatchPlan, dataset: Dataset,
 
 
 def save_aggregates(path, aggregates: Aggregates, meta: str | None = None) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-author-aggregates v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        for (user, author, day), watch in sorted(aggregates.items()):
-            fh.write(f"{user}\t{author}\t{day}\t{fmt_real(watch)}\n")
-    os.replace(tmp, path)
+    artifacts.write(path, "author-aggregates",
+                    (f"{user}\t{author}\t{day}\t{fmt_real(watch)}"
+                     for (user, author, day), watch in sorted(aggregates.items())), meta)
+
+
+def _parse_aggregate(parts: list[str]) -> tuple[tuple[int, int, int], float]:
+    user, author, day, watch = parts
+    return (int(user), int(author), int(day)), float(watch)
 
 
 def load_aggregates(path) -> Aggregates:
-    out: Aggregates = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "#ltvrank-author-aggregates v1":
-            raise ValueError(f"{path}: bad header {header!r}")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            user, author, day, watch = line.rstrip("\n").split("\t")
-            out[(int(user), int(author), int(day))] = float(watch)
-    return out
+    return dict(artifacts.read(path, "author-aggregates", _parse_aggregate))

@@ -3,7 +3,7 @@
     ltvrank <stage> --config <path> [--set k=v ...] [--threads n] [--seed s]
 
 Exit codes: 0 success, 1 validation error (bad config, missing stage
-inputs), 2 runtime error.
+inputs, corrupt artifact), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -67,10 +67,8 @@ def main(argv=None) -> int:
             overrides[key.strip()] = value.strip()
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            overrides["threads"] = str(args.threads)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config, overrides)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"ltvrank: validation error: {exc}", file=sys.stderr)

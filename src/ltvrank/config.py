@@ -19,7 +19,6 @@ from .synthgen import GenConfig
 DEFAULTS: dict[str, object] = {
     # master
     "seed": 0,
-    "threads": 1,
     "cap_q": 300.0,
     # generator (prefix gen.)
     **{f"gen.{f.name}": f.default for f in fields(GenConfig) if f.name != "seed"},

@@ -1,39 +1,30 @@
-"""Canonical impression/session records, dataset container, and the
-line-delimited on-disk format shared by every other module.
+"""Canonical impression/session records, the dataset container, and the
+record formats of ``dataset.txt`` and ``labeled.txt``.
 
-The file format is tab-separated, one record per line, UTF-8, ``\\n``
-terminated. Integers are base-10; reals use Python ``repr`` (shortest
-round-trip form), so ``load(save(D)) == D`` holds bit-exactly.
+The artifact envelope (header, meta line, atomic write, strict reading)
+belongs to ``ltvrank.artifacts``. Integers are base-10; reals use Python
+``repr`` (shortest round-trip form), so ``load(save(D)) == D`` holds
+bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from . import artifacts
+from .artifacts import DatasetFormatError, fmt_real  # noqa: F401 (re-exported)
 
 #: Feed pages return four videos each.
 RECORDS_PER_PAGE = 4
 
 #: Default cap Q on a video's influence over subsequent watch time (seconds).
 DEFAULT_CAP_Q = 300.0
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file could not be parsed; names the line and field."""
-
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
-
-
-def fmt_real(x: float) -> str:
-    """Serialize a real with shortest round-trip precision."""
-    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -187,11 +178,8 @@ def session_slide_times(session: Session, Q: float = DEFAULT_CAP_Q) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# On-disk format
+# Record formats
 # ---------------------------------------------------------------------------
-
-_HEADER = "#ltvrank-dataset v1"
-
 
 def _fmt_record(r: ImpressionRecord) -> str:
     emb = ",".join(fmt_real(x) for x in r.content_embedding)
@@ -205,115 +193,69 @@ def _fmt_record(r: ImpressionRecord) -> str:
     ])
 
 
-def _parse_record(path, line_no: int, line: str) -> ImpressionRecord:
-    parts = line.split("\t")
+def _parse_record(parts: list[str]) -> ImpressionRecord:
     if len(parts) != 15:
-        raise DatasetFormatError(path, line_no, f"expected 15 fields, got {len(parts)}")
-    try:
-        emb = tuple(float(x) for x in parts[12].split(",")) if parts[12] else ()
-        v2v = []
-        if parts[13]:
-            for item in parts[13].split(","):
-                vid, score = item.split(":")
-                v2v.append((int(vid), float(score)))
-        return ImpressionRecord(
-            user_id=int(parts[0]), video_id=int(parts[1]), author_id=int(parts[2]),
-            category_id=int(parts[3]), retrieval_source_id=int(parts[4]),
-            collection_id=None if parts[5] == "-" else int(parts[5]),
-            session_id=int(parts[6]), day=int(parts[7]), page_index=int(parts[8]),
-            position_in_page=int(parts[9]), global_position=int(parts[10]),
-            watch_time=float(parts[11]), content_embedding=emb,
-            v2v_neighbors=tuple(v2v), revisit_flag=int(parts[14]),
-        )
-    except (ValueError, IndexError) as exc:
-        raise DatasetFormatError(path, line_no, f"malformed field: {exc}") from None
+        raise ValueError(f"expected 15 fields, got {len(parts)}")
+    emb = tuple(float(x) for x in parts[12].split(",")) if parts[12] else ()
+    v2v = []
+    if parts[13]:
+        for item in parts[13].split(","):
+            vid, score = item.split(":")
+            v2v.append((int(vid), float(score)))
+    return ImpressionRecord(
+        user_id=int(parts[0]), video_id=int(parts[1]), author_id=int(parts[2]),
+        category_id=int(parts[3]), retrieval_source_id=int(parts[4]),
+        collection_id=None if parts[5] == "-" else int(parts[5]),
+        session_id=int(parts[6]), day=int(parts[7]), page_index=int(parts[8]),
+        position_in_page=int(parts[9]), global_position=int(parts[10]),
+        watch_time=float(parts[11]), content_embedding=emb,
+        v2v_neighbors=tuple(v2v), revisit_flag=int(parts[14]),
+    )
 
 
 def save_dataset(path, dataset: Dataset, meta: str | None = None) -> None:
-    """Write a dataset atomically (temp file then rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_HEADER + "\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        for sess in dataset.sessions:
-            for r in sess.records:
-                fh.write(_fmt_record(r) + "\n")
-    os.replace(tmp, path)
+    """Write a dataset atomically, one impression per line."""
+    artifacts.write(path, "dataset",
+                    (_fmt_record(r) for r in dataset.iter_records()), meta)
 
 
 def load_dataset(path) -> Dataset:
     """Load a dataset, grouping consecutive records by session_id."""
-    sessions: list[Session] = []
-    current: list[ImpressionRecord] = []
-
-    def flush():
-        if current:
-            first = current[0]
-            sessions.append(Session(
-                session_id=first.session_id, user_id=first.user_id,
-                day=first.day, records=tuple(current),
-            ))
-            current.clear()
-
-    with open(path, "r", encoding="utf-8") as fh:
-        first_line = fh.readline()
-        if first_line.rstrip("\n") != _HEADER:
-            raise DatasetFormatError(path, 1, f"bad header {first_line.rstrip()!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.endswith("\n"):
-                raise DatasetFormatError(path, line_no, "truncated record (missing newline)")
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            rec = _parse_record(path, line_no, line)
-            if current and rec.session_id != current[0].session_id:
-                flush()
-            current.append(rec)
-    flush()
+    records = artifacts.read(path, "dataset", _parse_record)
+    sessions = []
+    for _, group in groupby(records, key=attrgetter("session_id")):
+        recs = tuple(group)
+        sessions.append(Session(session_id=recs[0].session_id, user_id=recs[0].user_id,
+                                day=recs[0].day, records=recs))
     return Dataset(sessions=sessions)
 
 
+def _fmt_labeled(e: LabeledExample) -> str:
+    auth = "-" if e.author_ltv is None else fmt_real(e.author_ltv)
+    return "\t".join([
+        str(e.session_id), str(e.index), fmt_real(e.slide_time),
+        fmt_real(e.pdq_label), fmt_real(e.attributed_slide_time),
+        fmt_real(e.watch_time_label), fmt_real(e.completion_label),
+        fmt_real(e.interaction_label), auth,
+    ])
+
+
+def _parse_labeled(parts: list[str]) -> LabeledExample:
+    if len(parts) != 9:
+        raise ValueError(f"expected 9 fields, got {len(parts)}")
+    return LabeledExample(
+        session_id=int(parts[0]), index=int(parts[1]),
+        slide_time=float(parts[2]), pdq_label=float(parts[3]),
+        attributed_slide_time=float(parts[4]), watch_time_label=float(parts[5]),
+        completion_label=float(parts[6]), interaction_label=float(parts[7]),
+        author_ltv=None if parts[8] == "-" else float(parts[8]),
+    )
+
+
 def save_labeled(path, examples: Sequence[LabeledExample], meta: str | None = None) -> None:
-    """Write labeled examples in the same line-delimited style."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-labeled v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        for e in examples:
-            auth = "-" if e.author_ltv is None else fmt_real(e.author_ltv)
-            fh.write("\t".join([
-                str(e.session_id), str(e.index), fmt_real(e.slide_time),
-                fmt_real(e.pdq_label), fmt_real(e.attributed_slide_time),
-                fmt_real(e.watch_time_label), fmt_real(e.completion_label),
-                fmt_real(e.interaction_label), auth,
-            ]) + "\n")
-    os.replace(tmp, path)
+    """Write labeled examples atomically, one per line."""
+    artifacts.write(path, "labeled", map(_fmt_labeled, examples), meta)
 
 
 def load_labeled(path) -> list[LabeledExample]:
-    out: list[LabeledExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "#ltvrank-labeled v1":
-            raise DatasetFormatError(path, 1, f"bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 9:
-                raise DatasetFormatError(path, line_no, f"expected 9 fields, got {len(parts)}")
-            try:
-                out.append(LabeledExample(
-                    session_id=int(parts[0]), index=int(parts[1]),
-                    slide_time=float(parts[2]), pdq_label=float(parts[3]),
-                    attributed_slide_time=float(parts[4]),
-                    watch_time_label=float(parts[5]),
-                    completion_label=float(parts[6]),
-                    interaction_label=float(parts[7]),
-                    author_ltv=None if parts[8] == "-" else float(parts[8]),
-                ))
-            except ValueError as exc:
-                raise DatasetFormatError(path, line_no, f"malformed field: {exc}") from None
-    return out
+    return artifacts.read(path, "labeled", _parse_labeled)

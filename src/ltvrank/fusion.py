@@ -11,12 +11,13 @@ directional metric deltas against a baseline weighting.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, Session, fmt_real
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset, Session
 from .synthgen import GenConfig, GroundTruth
 
 MULTIPLICATIVE_HEADS = ("pdq", "completion", "interaction")
@@ -199,13 +200,10 @@ def replay_eval(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
 
 
 def save_replay_report(path, report: ReplayReport, meta: str | None = None) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-replay-report v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        fh.write("metric\tdelta\tci_lo\tci_hi\n")
+    def lines():
+        yield "metric\tdelta\tci_lo\tci_hi"
         for m in sorted(report.deltas):
             lo, hi = report.ci[m]
-            fh.write(f"{m}\t{fmt_real(report.deltas[m])}\t{fmt_real(lo)}\t{fmt_real(hi)}\n")
-    os.replace(tmp, path)
+            yield f"{m}\t{fmt_real(report.deltas[m])}\t{fmt_real(lo)}\t{fmt_real(hi)}"
+
+    artifacts.write(path, "replay-report", lines(), meta)

@@ -9,12 +9,13 @@ ranks, handling ties exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, fmt_real
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset
 
 
 class _Fenwick:
@@ -175,27 +176,23 @@ class MetricsReport:
 
 def save_report(path, report: MetricsReport, meta: str | None = None) -> None:
     """Machine-readable table; one metric per line."""
-    tmp = f"{path}.tmp"
-
     def fmt(v):
         return "-" if v is None else fmt_real(v)
 
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-metrics v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        fh.write(f"M\tdataset_id\t{report.dataset_id}\n")
-        fh.write(f"M\tmodel_id\t{report.model_id}\n")
-        fh.write(f"M\tseed\t{report.seed}\n")
+    def lines():
+        yield f"M\tdataset_id\t{report.dataset_id}"
+        yield f"M\tmodel_id\t{report.model_id}"
+        yield f"M\tseed\t{report.seed}"
         for head in sorted(report.per_head):
             entry = report.per_head[head]
             for key in ("mse", "mae", "xauc", "pcoc"):
-                fh.write(f"S\t{head}\t{key}\t{fmt(entry.get(key))}\n")
+                yield f"S\t{head}\t{key}\t{fmt(entry.get(key))}"
             for g, (value, pairs) in sorted(entry.get("xauc_grouped", {}).items()):
-                fh.write(f"G\t{head}\t{g}\t{fmt(value)}\t{pairs}\n")
+                yield f"G\t{head}\t{g}\t{fmt(value)}\t{pairs}"
         for n in sorted(report.lt_n):
-            fh.write(f"L\t{n}\t{fmt_real(report.lt_n[n])}\n")
-    os.replace(tmp, path)
+            yield f"L\t{n}\t{fmt_real(report.lt_n[n])}"
+
+    artifacts.write(path, "metrics", lines(), meta)
 
 
 def render_summary(report: MetricsReport) -> str:

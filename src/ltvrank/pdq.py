@@ -9,12 +9,13 @@ slide time strictly exceeds.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, fmt_real, session_slide_times, DEFAULT_CAP_Q
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset, session_slide_times, DEFAULT_CAP_Q
 
 #: Default quantization granularity.
 DEFAULT_T = 50
@@ -224,43 +225,32 @@ def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
 
 def save_tables(path, spec: PageGroupSpec, tables: dict[int, QuantileTable],
                 meta: str | None = None) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-quantile-tables v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        ranges = ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in spec.ranges)
-        fh.write(f"G\t{ranges}\n")
-        for k in sorted(tables):
-            t = tables[k]
-            th = ",".join(fmt_real(x) for x in t.thresholds)
-            fh.write(f"Q\t{k}\t{t.T}\t{t.S_k}\t{th}\n")
-    os.replace(tmp, path)
+    ranges = ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in spec.ranges)
+    lines = [f"G\t{ranges}"] + [
+        f"Q\t{k}\t{t.T}\t{t.S_k}\t" + ",".join(fmt_real(x) for x in t.thresholds)
+        for k, t in sorted(tables.items())]
+    artifacts.write(path, "quantile-tables", lines, meta)
 
 
 def load_tables(path) -> tuple[PageGroupSpec, dict[int, QuantileTable]]:
-    spec = None
+    specs: list[PageGroupSpec] = []
     tables: dict[int, QuantileTable] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "#ltvrank-quantile-tables v1":
-            raise ValueError(f"{path}: bad header {header!r}")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == "G":
-                ranges = []
-                for item in parts[1].split(","):
-                    lo, hi = item.split(":")
-                    ranges.append((int(lo), None if hi == "inf" else int(hi)))
-                spec = PageGroupSpec(ranges=tuple(ranges))
-            elif parts[0] == "Q":
-                k, T, S_k = int(parts[1]), int(parts[2]), int(parts[3])
-                thresholds = tuple(float(x) for x in parts[4].split(","))
-                tables[k] = QuantileTable(group=k, T=T, thresholds=thresholds, S_k=S_k)
-            else:
-                raise ValueError(f"{path}: unknown record tag {parts[0]!r}")
-    if spec is None:
+
+    def parse(parts: list[str]) -> None:
+        if parts[0] == "G":
+            ranges = []
+            for item in parts[1].split(","):
+                lo, hi = item.split(":")
+                ranges.append((int(lo), None if hi == "inf" else int(hi)))
+            specs.append(PageGroupSpec(ranges=tuple(ranges)))
+        elif parts[0] == "Q":
+            k, T, S_k = int(parts[1]), int(parts[2]), int(parts[3])
+            thresholds = tuple(float(x) for x in parts[4].split(","))
+            tables[k] = QuantileTable(group=k, T=T, thresholds=thresholds, S_k=S_k)
+        else:
+            raise ValueError(f"unknown record tag {parts[0]!r}")
+
+    artifacts.read(path, "quantile-tables", parse)
+    if not specs:
         raise ValueError(f"{path}: missing group spec line")
-    return spec, tables
+    return specs[-1], tables

@@ -8,13 +8,14 @@ current hash is a no-op ("cached").
 
 from __future__ import annotations
 
-import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import attribution, author_ltv, datamodel, fusion, metrics, pdq, predictor, synthgen
+from . import (artifacts, attribution, author_ltv, datamodel, fusion, metrics, pdq,
+               predictor, synthgen)
+from .artifacts import fmt_real
 from .config import PipelineConfig
 from .datamodel import Dataset, LabeledExample
 
@@ -32,7 +33,7 @@ STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "replay": (("dataset.txt", "groundtruth.txt", "tables.txt", "params.txt"),
                ("replay.txt",)),
     "report": (("dataset.txt", "labeled.txt", "tables.txt", "diagnostics.txt",
-                "metrics.txt", "replay.txt"),
+                "metrics_summary.txt", "replay.txt"),
                ("report.txt", "plot_page_slide.txt", "plot_quantiles.txt",
                 "plot_slide_hist.txt")),
 }
@@ -46,20 +47,6 @@ def _meta(config: PipelineConfig) -> str:
     return f"config={config.config_hash()} seed={config['seed']}"
 
 
-def _has_meta(path: Path, meta: str) -> bool:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for _ in range(3):
-                line = fh.readline()
-                if not line:
-                    return False
-                if line.rstrip("\n") == f"#meta {meta}":
-                    return True
-    except OSError:
-        return False
-    return False
-
-
 def _check_inputs(stage: str, workdir: Path) -> None:
     missing = [str(workdir / name) for name in STAGE_FILES[stage][0]
                if not (workdir / name).exists()]
@@ -71,7 +58,7 @@ def _check_inputs(stage: str, workdir: Path) -> None:
 
 def _is_cached(stage: str, workdir: Path, meta: str) -> bool:
     outputs = STAGE_FILES[stage][1]
-    return all(_has_meta(workdir / name, meta) for name in outputs)
+    return all(artifacts.has_meta(workdir / name, meta) for name in outputs)
 
 
 def _split_days(dataset: Dataset, test_days: int) -> tuple[list[int], list[int]]:
@@ -223,15 +210,10 @@ def _run_train(config: PipelineConfig, workdir: Path, meta: str) -> None:
     days = _build_streams(dataset, examples, spec, config, aggregates=aggregates)
     params, trace = predictor.train(days, config.train_config())
     predictor.save_params(workdir / "params.txt", params, meta=meta)
-    tmp = workdir / "loss_trace.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-loss-trace v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write("epoch\thead\tmean_loss\n")
-        for epoch, row in enumerate(trace):
-            for head in sorted(row):
-                fh.write(f"{epoch}\t{head}\t{datamodel.fmt_real(row[head])}\n")
-    os.replace(tmp, workdir / "loss_trace.txt")
+    artifacts.write(workdir / "loss_trace.txt", "loss-trace",
+                    ["epoch\thead\tmean_loss"]
+                    + [f"{epoch}\t{head}\t{fmt_real(row[head])}"
+                       for epoch, row in enumerate(trace) for head in sorted(row)], meta)
 
 
 def _test_examples(dataset: Dataset, examples, config: PipelineConfig):
@@ -306,12 +288,8 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str) -> None:
         report.lt_n[n] = metrics.lt_n(cohort, dataset, n, anchor_day=0)
 
     metrics.save_report(workdir / "metrics.txt", report, meta=meta)
-    tmp = workdir / "metrics_summary.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-metrics-summary v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write(metrics.render_summary(report))
-    os.replace(tmp, workdir / "metrics_summary.txt")
+    artifacts.write(workdir / "metrics_summary.txt", "metrics-summary",
+                    metrics.render_summary(report).splitlines(), meta)
 
 
 def make_scorer(params, spec):
@@ -341,7 +319,6 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
     examples = datamodel.load_labeled(workdir / "labeled.txt")
     spec, tables = pdq.load_tables(workdir / "tables.txt")
     Q = float(config["cap_q"])
-    fmt = datamodel.fmt_real
 
     # page index vs mean slide time and zero share (position-bias picture)
     sums: dict[int, float] = {}
@@ -354,26 +331,16 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
             sums[p] = sums.get(p, 0.0) + float(s)
             zeros[p] = zeros.get(p, 0) + int(s == 0.0)
             counts[p] = counts.get(p, 0) + 1
-    tmp = workdir / "plot_page_slide.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-plot-page-slide v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write("page_index\tn\tmean_slide_time\tzero_fraction\n")
-        for p in sorted(counts):
-            fh.write(f"{p}\t{counts[p]}\t{fmt(sums[p] / counts[p])}\t"
-                     f"{fmt(zeros[p] / counts[p])}\n")
-    os.replace(tmp, workdir / "plot_page_slide.txt")
+    artifacts.write(workdir / "plot_page_slide.txt", "plot-page-slide",
+                    ["page_index\tn\tmean_slide_time\tzero_fraction"]
+                    + [f"{p}\t{counts[p]}\t{fmt_real(sums[p] / counts[p])}\t"
+                       f"{fmt_real(zeros[p] / counts[p])}" for p in sorted(counts)], meta)
 
     # per-group quantile thresholds
-    tmp = workdir / "plot_quantiles.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-plot-quantiles v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write("group\tj\tthreshold\n")
-        for k in sorted(tables):
-            for j, th in enumerate(tables[k].thresholds, start=1):
-                fh.write(f"{k}\t{j}\t{fmt(th)}\n")
-    os.replace(tmp, workdir / "plot_quantiles.txt")
+    artifacts.write(workdir / "plot_quantiles.txt", "plot-quantiles",
+                    ["group\tj\tthreshold"]
+                    + [f"{k}\t{j}\t{fmt_real(th)}" for k in sorted(tables)
+                       for j, th in enumerate(tables[k].thresholds, start=1)], meta)
 
     # slide-time and attributed-slide-time histograms on a shared grid
     slide = np.array([e.slide_time for e in examples])
@@ -381,36 +348,27 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
     edges = np.linspace(0.0, Q, 31)
     hist_s, _ = np.histogram(slide, bins=edges)
     hist_a, _ = np.histogram(attr, bins=edges)
-    tmp = workdir / "plot_slide_hist.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-plot-slide-hist v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write("bin_lo\tbin_hi\tslide_count\tattr_count\n")
-        for b in range(len(hist_s)):
-            fh.write(f"{fmt(edges[b])}\t{fmt(edges[b + 1])}\t"
-                     f"{hist_s[b]}\t{hist_a[b]}\n")
-    os.replace(tmp, workdir / "plot_slide_hist.txt")
+    artifacts.write(workdir / "plot_slide_hist.txt", "plot-slide-hist",
+                    ["bin_lo\tbin_hi\tslide_count\tattr_count"]
+                    + [f"{fmt_real(edges[b])}\t{fmt_real(edges[b + 1])}\t{hist_s[b]}\t{hist_a[b]}"
+                       for b in range(len(hist_s))], meta)
 
     # narrative report combining upstream summaries verbatim
     sections = [
         ("attribution coverage (share of downstream time / pairs per dimension)",
-         "diagnostics.txt"),
-        ("head metrics", "metrics_summary.txt"),
-        ("replay deltas (re-weighted minus baseline)", "replay.txt"),
+         "diagnostics.txt", "attribution-diagnostics"),
+        ("head metrics", "metrics_summary.txt", "metrics-summary"),
+        ("replay deltas (re-weighted minus baseline)", "replay.txt", "replay-report"),
     ]
-    tmp = workdir / "report.txt.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-report v1\n")
-        fh.write(f"#meta {meta}\n")
-        fh.write(f"sessions={len(dataset.sessions)} impressions={dataset.n_records()}\n")
-        fh.write("page groups: " + ", ".join(
-            f"[{lo},{'inf' if hi is None else hi})" for lo, hi in spec.ranges) + "\n")
+
+    def lines():
+        yield f"sessions={len(dataset.sessions)} impressions={dataset.n_records()}"
+        yield "page groups: " + ", ".join(
+            f"[{lo},{'inf' if hi is None else hi})" for lo, hi in spec.ranges)
         for k in sorted(tables):
-            fh.write(f"group {k}: S_k={tables[k].S_k} T={tables[k].T}\n")
-        for title, name in sections:
-            fh.write(f"\n== {title} ==\n")
-            with open(workdir / name, "r", encoding="utf-8") as src:
-                for line in src:
-                    if not line.startswith("#"):
-                        fh.write(line)
-    os.replace(tmp, workdir / "report.txt")
+            yield f"group {k}: S_k={tables[k].S_k} T={tables[k].T}"
+        for title, name, kind in sections:
+            yield f"\n== {title} =="
+            yield from artifacts.read(workdir / name, kind, "\t".join)
+
+    artifacts.write(workdir / "report.txt", "report", lines(), meta)

@@ -10,12 +10,12 @@ author-only update leaves embeddings and backbone bitwise unchanged.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import fmt_real
+from . import artifacts
+from .artifacts import fmt_real
 
 FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 
@@ -460,45 +460,38 @@ def gradient_check(params: PredictorParams, head: str, loss_name: str,
 # ---------------------------------------------------------------------------
 
 def save_params(path, params: PredictorParams, meta: str | None = None) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-params v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        fh.write("H\t" + ",".join(params.heads) + "\n")
-        fh.write("V\t" + ",".join(f"{f}:{params.hash_config.vocab[f]}"
-                                  for f in FEATURE_FIELDS) + "\n")
+    def lines():
+        yield "H\t" + ",".join(params.heads)
+        yield "V\t" + ",".join(f"{f}:{params.hash_config.vocab[f]}" for f in FEATURE_FIELDS)
         for name in sorted(params.arrays):
             arr = params.arrays[name]
             shape = ",".join(str(s) for s in arr.shape)
             values = ",".join(fmt_real(x) for x in arr.ravel())
-            fh.write(f"P\t{name}\t{shape}\t{values}\n")
-    os.replace(tmp, path)
+            yield f"P\t{name}\t{shape}\t{values}"
+
+    artifacts.write(path, "params", lines(), meta)
 
 
 def load_params(path) -> PredictorParams:
     arrays: dict[str, np.ndarray] = {}
     heads: tuple[str, ...] = ()
     hc = HashConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "#ltvrank-params v1":
-            raise ValueError(f"{path}: bad header {header!r}")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == "H":
-                heads = tuple(parts[1].split(","))
-            elif parts[0] == "V":
-                hc = HashConfig(vocab={})
-                for item in parts[1].split(","):
-                    f, v = item.split(":")
-                    hc.vocab[f] = int(v)
-            elif parts[0] == "P":
-                shape = tuple(int(s) for s in parts[2].split(","))
-                values = np.array([float(x) for x in parts[3].split(",")])
-                arrays[parts[1]] = values.reshape(shape)
-            else:
-                raise ValueError(f"{path}: unknown record tag {parts[0]!r}")
+
+    def parse(parts: list[str]) -> None:
+        nonlocal heads, hc
+        if parts[0] == "H":
+            heads = tuple(parts[1].split(","))
+        elif parts[0] == "V":
+            hc = HashConfig(vocab={})
+            for item in parts[1].split(","):
+                f, v = item.split(":")
+                hc.vocab[f] = int(v)
+        elif parts[0] == "P":
+            shape = tuple(int(s) for s in parts[2].split(","))
+            values = np.array([float(x) for x in parts[3].split(",")])
+            arrays[parts[1]] = values.reshape(shape)
+        else:
+            raise ValueError(f"unknown record tag {parts[0]!r}")
+
+    artifacts.read(path, "params", parse)
     return PredictorParams(arrays, heads, hc)

@@ -16,13 +16,14 @@ generator plants on purpose:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
 
-from .datamodel import Dataset, ImpressionRecord, Session, fmt_real
+from . import artifacts
+from .artifacts import fmt_real
+from .datamodel import Dataset, ImpressionRecord, Session
 
 
 @dataclass
@@ -344,25 +345,22 @@ def empirical_zero_fraction(dataset: Dataset, pages: tuple[int, int | None],
 # ---------------------------------------------------------------------------
 
 def save_ground_truth(path, gt: GroundTruth, meta: str | None = None) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("#ltvrank-groundtruth v1\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
+    def lines():
         for u in range(len(gt.user_activity)):
             affs = ",".join(f"{a}:{fmt_real(v)}" for a, v in sorted(gt.user_affinity[u].items()))
-            fh.write(f"U\t{u}\t{fmt_real(gt.user_activity[u])}\t"
-                     f"{fmt_real(gt.user_revisit_prob[u])}\t{affs}\n")
+            yield (f"U\t{u}\t{fmt_real(gt.user_activity[u])}\t"
+                   f"{fmt_real(gt.user_revisit_prob[u])}\t{affs}")
         for v in range(len(gt.video_author)):
-            fh.write(f"V\t{v}\t{gt.video_author[v]}\t{gt.video_category[v]}\t"
-                     f"{gt.video_collection[v]}\t{fmt_real(gt.video_quality[v])}\t"
-                     f"{fmt_real(gt.video_promotion[v])}\n")
+            yield (f"V\t{v}\t{gt.video_author[v]}\t{gt.video_category[v]}\t"
+                   f"{gt.video_collection[v]}\t{fmt_real(gt.video_quality[v])}\t"
+                   f"{fmt_real(gt.video_promotion[v])}")
         for a in range(len(gt.author_quality)):
-            fh.write(f"A\t{a}\t{fmt_real(gt.author_quality[a])}\n")
+            yield f"A\t{a}\t{fmt_real(gt.author_quality[a])}"
         for (sid, idx), (base, contribs) in sorted(gt.contributions.items()):
             cstr = ",".join(f"{gap}:{fmt_real(val)}" for gap, val in contribs)
-            fh.write(f"C\t{sid}\t{idx}\t{fmt_real(base)}\t{cstr}\n")
-    os.replace(tmp, path)
+            yield f"C\t{sid}\t{idx}\t{fmt_real(base)}\t{cstr}"
+
+    artifacts.write(path, "groundtruth", lines(), meta)
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -370,36 +368,32 @@ def load_ground_truth(path) -> GroundTruth:
     videos: list[tuple[int, int, int, float, float]] = []
     authors: list[float] = []
     contributions: dict[tuple[int, int], tuple[float, tuple[tuple[int, float], ...]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "#ltvrank-groundtruth v1":
-            raise ValueError(f"{path}: bad header {header!r}")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            tag = parts[0]
-            if tag == "U":
-                affs = {}
-                if parts[4]:
-                    for item in parts[4].split(","):
-                        a, v = item.split(":")
-                        affs[int(a)] = float(v)
-                users.append((float(parts[2]), float(parts[3]), affs))
-            elif tag == "V":
-                videos.append((int(parts[2]), int(parts[3]), int(parts[4]),
-                               float(parts[5]), float(parts[6])))
-            elif tag == "A":
-                authors.append(float(parts[2]))
-            elif tag == "C":
-                contribs = []
-                if parts[4]:
-                    for item in parts[4].split(","):
-                        gap, val = item.split(":")
-                        contribs.append((int(gap), float(val)))
-                contributions[(int(parts[1]), int(parts[2]))] = (float(parts[3]), tuple(contribs))
-            else:
-                raise ValueError(f"{path}: unknown record tag {tag!r}")
+
+    def parse(parts: list[str]) -> None:
+        tag = parts[0]
+        if tag == "U":
+            affs = {}
+            if parts[4]:
+                for item in parts[4].split(","):
+                    a, v = item.split(":")
+                    affs[int(a)] = float(v)
+            users.append((float(parts[2]), float(parts[3]), affs))
+        elif tag == "V":
+            videos.append((int(parts[2]), int(parts[3]), int(parts[4]),
+                           float(parts[5]), float(parts[6])))
+        elif tag == "A":
+            authors.append(float(parts[2]))
+        elif tag == "C":
+            contribs = []
+            if parts[4]:
+                for item in parts[4].split(","):
+                    gap, val = item.split(":")
+                    contribs.append((int(gap), float(val)))
+            contributions[(int(parts[1]), int(parts[2]))] = (float(parts[3]), tuple(contribs))
+        else:
+            raise ValueError(f"unknown record tag {tag!r}")
+
+    artifacts.read(path, "groundtruth", parse)
     return GroundTruth(
         user_activity=np.array([u[0] for u in users]),
         user_revisit_prob=np.array([u[1] for u in users]),

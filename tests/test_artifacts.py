@@ -1,0 +1,52 @@
+import pytest
+
+from ltvrank import author_ltv, datamodel, pdq, predictor, synthgen
+from ltvrank.artifacts import DatasetFormatError
+from ltvrank.config import load_config
+from ltvrank.pipeline import run_stages
+
+from test_config import TINY
+
+#: loader -> the artifact it reads
+LOADERS = {
+    "dataset": (datamodel.load_dataset, "dataset.txt"),
+    "labeled": (datamodel.load_labeled, "labeled.txt"),
+    "tables": (pdq.load_tables, "tables.txt"),
+    "aggregates": (author_ltv.load_aggregates, "aggregates.txt"),
+    "params": (predictor.load_params, "params.txt"),
+    "groundtruth": (synthgen.load_ground_truth, "groundtruth.txt"),
+}
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("artifacts")
+    run_stages(("gen", "labels", "train"), load_config(overrides=TINY), workdir)
+    return workdir
+
+
+def _bad_header(lines):
+    return ["#ltvrank-bogus v1\n"] + lines[1:], 1
+
+
+def _cut_last_line(lines):
+    return lines[:-1] + [lines[-1][:-6]], len(lines)
+
+
+def _malformed_last_field(lines):
+    fields = lines[-1].rstrip("\n").split("\t")
+    return lines[:-1] + ["\t".join(fields[:-1] + ["x"]) + "\n"], len(lines)
+
+
+@pytest.mark.parametrize("corrupt", [_bad_header, _cut_last_line, _malformed_last_field])
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loader_rejects_corrupt_artifact_with_path_and_line(
+        loader, corrupt, artifact_dir, tmp_path):
+    load, name = LOADERS[loader]
+    lines = (artifact_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    bad, line_no = corrupt(lines)
+    path = tmp_path / name
+    path.write_text("".join(bad), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load(path)
+    assert f"{path}:{line_no}:" in str(exc.value)

@@ -64,6 +64,26 @@ class TestExitCodes:
         assert run("gen", tmp_path, "--threads", "0") == 1
         assert "--threads" in capsys.readouterr().err
 
+    def test_corrupt_artifact_exit_one(self, tmp_path, capsys):
+        assert run("gen", tmp_path) == 0
+        assert run("labels", tmp_path) == 0
+        path = tmp_path / "labeled.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "not\ta\trecord\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("train", tmp_path) == 1
+        assert f"{path}:3:" in capsys.readouterr().err
+
+    def test_report_missing_summary_exit_one(self, tmp_path, capsys):
+        assert run("all", tmp_path) == 0
+        (tmp_path / "metrics_summary.txt").unlink()
+        (tmp_path / "report.txt").unlink()
+        capsys.readouterr()
+        assert run("report", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "missing input" in err and "metrics_summary.txt" in err
+
     def test_runtime_error_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied\n")
@@ -76,6 +96,12 @@ class TestBehaviour:
         assert run("gen", tmp_path) == 0
         capsys.readouterr()
         assert run("gen", tmp_path) == 0
+        assert "ltvrank gen: cached" in capsys.readouterr().out
+
+    def test_threads_flag_keeps_cache(self, tmp_path, capsys):
+        assert run("gen", tmp_path) == 0
+        capsys.readouterr()
+        assert run("gen", tmp_path, "--threads", "2") == 0
         assert "ltvrank gen: cached" in capsys.readouterr().out
 
     def test_seed_flag_changes_artifacts(self, tmp_path, capsys):

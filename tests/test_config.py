@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,15 @@ def pipeline_dir(tmp_path_factory):
     return workdir, config, statuses
 
 
+def _import_checks():
+    """The benchmark's own artifact checks, loaded from their file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestPipeline:
     def test_all_stages_ok(self, pipeline_dir):
         _, _, statuses = pipeline_dir
@@ -143,3 +155,9 @@ class TestPipeline:
         bad = load_config(overrides={**TINY, "train.test_days": "9"})
         with pytest.raises(ValueError, match="test_days"):
             run_stage("train", bad, workdir)
+
+    def test_benchmark_checks_pass(self, pipeline_dir):
+        workdir, config, _ = pipeline_dir
+        checks = _import_checks()
+        log = checks.Log(workdir / "dataset.txt")
+        assert checks.check_workdir(workdir, log, float(config["cap_q"])) == []
