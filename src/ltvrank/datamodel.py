@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.sessions)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.sessions == other.sessions
-
     def iter_records(self) -> Iterator[ImpressionRecord]:
         for sess in self.sessions:
             yield from sess.records
@@ -86,19 +81,13 @@ class Dataset:
         return sum(len(s) for s in self.sessions)
 
 
-@dataclass
-class LabeledExample:
-    """Per-impression training labels derived from one session log."""
+#: Per-impression label columns of ``labeled.txt``, each named after the
+#: predictor head it trains.
+LABEL_COLUMNS = ("slide", "pdq", "attr", "watch", "completion", "interaction")
 
-    session_id: int
-    index: int  # position of the impression within its session
-    slide_time: float
-    pdq_label: float
-    attributed_slide_time: float
-    watch_time_label: float
-    completion_label: float
-    interaction_label: float
-    author_ltv: float | None = None
+#: Columns that place a label row in the log: the session and the
+#: impression's position within it.
+KEY_COLUMNS = ("session_id", "index")
 
 
 def validate_session(session: Session) -> list[str]:
@@ -230,32 +219,30 @@ def load_dataset(path) -> Dataset:
     return Dataset(sessions=sessions)
 
 
-def _fmt_labeled(e: LabeledExample) -> str:
-    auth = "-" if e.author_ltv is None else fmt_real(e.author_ltv)
-    return "\t".join([
-        str(e.session_id), str(e.index), fmt_real(e.slide_time),
-        fmt_real(e.pdq_label), fmt_real(e.attributed_slide_time),
-        fmt_real(e.watch_time_label), fmt_real(e.completion_label),
-        fmt_real(e.interaction_label), auth,
-    ])
+def _fmt_labeled(row) -> str:
+    return "\t".join([str(row[0]), str(row[1])] + [fmt_real(x) for x in row[2:]])
 
 
-def _parse_labeled(parts: list[str]) -> LabeledExample:
-    if len(parts) != 9:
-        raise ValueError(f"expected 9 fields, got {len(parts)}")
-    return LabeledExample(
-        session_id=int(parts[0]), index=int(parts[1]),
-        slide_time=float(parts[2]), pdq_label=float(parts[3]),
-        attributed_slide_time=float(parts[4]), watch_time_label=float(parts[5]),
-        completion_label=float(parts[6]), interaction_label=float(parts[7]),
-        author_ltv=None if parts[8] == "-" else float(parts[8]),
-    )
+def _parse_labeled(parts: list[str]) -> tuple:
+    if len(parts) != 8:
+        raise ValueError(f"expected 8 fields, got {len(parts)}")
+    return (int(parts[0]), int(parts[1]), *(float(x) for x in parts[2:]))
 
 
-def save_labeled(path, examples: Sequence[LabeledExample], meta: str | None = None) -> None:
-    """Write labeled examples atomically, one per line."""
-    artifacts.write(path, "labeled", map(_fmt_labeled, examples), meta)
+def save_labeled(path, labels: dict[str, np.ndarray], meta: str | None = None) -> None:
+    """Write label columns atomically, one impression per line in row order:
+    ``session_id``, ``index``, then the ``LABEL_COLUMNS``."""
+    columns = [labels[name].tolist() for name in KEY_COLUMNS + LABEL_COLUMNS]
+    artifacts.write(path, "labeled", map(_fmt_labeled, zip(*columns)), meta)
 
 
-def load_labeled(path) -> list[LabeledExample]:
-    return artifacts.read(path, "labeled", _parse_labeled)
+def load_labeled(path) -> dict[str, np.ndarray]:
+    """Label columns keyed by name: int64 ``KEY_COLUMNS``, float64
+    ``LABEL_COLUMNS``, one row per record line."""
+    rows = artifacts.read(path, "labeled", _parse_labeled)
+    columns = list(zip(*rows)) or [()] * (len(KEY_COLUMNS) + len(LABEL_COLUMNS))
+    out = {name: np.array(col, dtype=np.int64)
+           for name, col in zip(KEY_COLUMNS, columns)}
+    out.update((name, np.array(col, dtype=np.float64))
+               for name, col in zip(LABEL_COLUMNS, columns[len(KEY_COLUMNS):]))
+    return out

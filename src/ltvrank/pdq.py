@@ -170,6 +170,15 @@ def quantile_labels(s: np.ndarray, table: QuantileTable) -> np.ndarray:
     return (b + table.S_k) / table.T
 
 
+def _log_columns(dataset: Dataset, Q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slide times and page indices of every impression, in dataset order."""
+    slide = [session_slide_times(sess, Q=Q) for sess in dataset.sessions]
+    slide = np.concatenate(slide) if slide else np.empty(0)
+    pages = np.fromiter((r.page_index for r in dataset.iter_records()),
+                        dtype=np.int64, count=len(slide))
+    return slide, pages
+
+
 def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
                Q: float = DEFAULT_CAP_Q) -> dict[int, QuantileTable]:
     """Fit one quantile table per page group from a dataset's slide times.
@@ -178,16 +187,14 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
     least one) inherits the nearest shallower group's table, so every
     observed page maps to a usable table.
     """
-    by_group: dict[int, list[float]] = {k: [] for k in range(spec.n_groups)}
-    for sess in dataset.sessions:
-        st = session_slide_times(sess, Q=Q)
-        for r, s in zip(sess.records, st):
-            by_group[spec.group_of(r.page_index)].append(float(s))
+    slide, pages = _log_columns(dataset, Q)
+    groups = spec.group_array(pages)
     tables: dict[int, QuantileTable] = {}
-    for k, values in sorted(by_group.items()):
+    for k in range(spec.n_groups):
+        values = slide[groups == k]
         if len(values) >= T:
             tables[k] = fit_quantile_table(values, T=T, group=k)
-        elif values:
+        elif len(values):
             donors = [g for g in tables if g < k]
             if donors:
                 donor = tables[max(donors)]
@@ -204,19 +211,21 @@ def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
 
     Raises if any impression maps to a group without a fitted table.
     """
-    out = []
-    for sess in dataset.sessions:
-        st = session_slide_times(sess, Q=Q)
-        labels = np.empty(len(sess.records), dtype=np.float64)
-        for i, r in enumerate(sess.records):
-            k = spec.group_of(r.page_index)
-            table = tables.get(k)
-            if table is None:
-                raise KeyError(f"no quantile table fitted for page group {k} "
-                               f"(page {r.page_index}, session {sess.session_id})")
-            labels[i] = quantile_label(float(st[i]), table)
-        out.append(labels)
-    return out
+    slide, pages = _log_columns(dataset, Q)
+    groups = spec.group_array(pages)
+    lengths = [len(s) for s in dataset.sessions]
+    unfitted = ~np.isin(groups, list(tables))
+    if unfitted.any():
+        row = int(np.argmax(unfitted))
+        sessions = np.repeat([s.session_id for s in dataset.sessions], lengths)
+        raise KeyError(f"no quantile table fitted for page group {groups[row]} "
+                       f"(page {pages[row]}, session {sessions[row]})")
+    labels = np.empty(len(slide), dtype=np.float64)
+    for k, table in tables.items():
+        in_group = groups == k
+        labels[in_group] = quantile_labels(slide[in_group], table)
+    starts = np.cumsum([0] + lengths)
+    return [labels[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ current hash is a no-op ("cached").
 from __future__ import annotations
 
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import (artifacts, attribution, author_ltv, datamodel, fusion, metrics, p
                predictor, synthgen)
 from .artifacts import fmt_real
 from .config import PipelineConfig
-from .datamodel import Dataset, LabeledExample
+from .datamodel import KEY_COLUMNS, LABEL_COLUMNS, Dataset
 
 STAGES = ("gen", "labels", "train", "eval", "replay", "report")
 
@@ -69,6 +70,29 @@ def _split_days(dataset: Dataset, test_days: int) -> tuple[list[int], list[int]]
     return days[:-test_days], days[-test_days:]
 
 
+def _row_keys(dataset: Dataset) -> dict[str, np.ndarray]:
+    """``session_id`` and ``index`` of every impression, in dataset order."""
+    lengths = np.array([len(s) for s in dataset.sessions], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    return {"session_id": np.repeat(np.array([s.session_id for s in dataset.sessions],
+                                             dtype=np.int64), lengths),
+            "index": np.arange(lengths.sum()) - np.repeat(starts, lengths)}
+
+
+def _load_labels(workdir: Path, dataset: Dataset) -> dict[str, np.ndarray]:
+    """``labeled.txt``'s columns, checked to hold one row per impression of
+    ``dataset.txt`` in dataset order, so that row ``i`` of every column
+    labels the dataset's ``i``-th impression."""
+    path = workdir / "labeled.txt"
+    labels = datamodel.load_labeled(path)
+    keys = _row_keys(dataset)
+    if not all(np.array_equal(labels[name], keys[name]) for name in KEY_COLUMNS):
+        raise ValueError(f"{path} does not hold one row per impression of "
+                         f"{workdir / 'dataset.txt'} in dataset order; "
+                         f"rerun the labels stage")
+    return labels
+
+
 def run_stage(stage: str, config: PipelineConfig, workdir) -> str:
     """Run one pipeline stage. Returns "ok" or "cached"."""
     if stage not in STAGES:
@@ -109,50 +133,39 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str) -> None:
     spec = pdq.fit_page_groups(dataset, M=int(config["pdq.M"]),
                                mode=str(config["pdq.mode"]))
     tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q)
-    pdq_labels = pdq.build_pdq_labels(dataset, spec, tables, Q=Q)
     att_cfg = config.attribution_config()
     att_cfg.validate()
-    halflife = float(config["labels.completion_halflife"])
-    threshold = float(config["labels.interaction_threshold"])
-    examples: list[LabeledExample] = []
-    for sess, labels in zip(dataset.sessions, pdq_labels):
-        slide = datamodel.session_slide_times(sess, Q=Q)
-        attr = attribution.session_attributed_slide_times(sess, att_cfg, Q=Q)
-        for i, r in enumerate(sess.records):
-            w = r.watch_time
-            examples.append(LabeledExample(
-                session_id=sess.session_id, index=i,
-                slide_time=float(slide[i]), pdq_label=float(labels[i]),
-                attributed_slide_time=float(attr[i]), watch_time_label=w,
-                completion_label=float(1.0 - np.exp(-w / halflife)),
-                interaction_label=1.0 if w > threshold else 0.0,
-            ))
+    watch = np.fromiter((r.watch_time for r in dataset.iter_records()),
+                        dtype=np.float64, count=dataset.n_records())
+    labels = {
+        **_row_keys(dataset),
+        "slide": np.concatenate([datamodel.session_slide_times(s, Q=Q)
+                                 for s in dataset.sessions]),
+        "pdq": np.concatenate(pdq.build_pdq_labels(dataset, spec, tables, Q=Q)),
+        "attr": np.concatenate([attribution.session_attributed_slide_times(s, att_cfg, Q=Q)
+                                for s in dataset.sessions]),
+        "watch": watch,
+        "completion": 1.0 - np.exp(-watch / float(config["labels.completion_halflife"])),
+        "interaction": (watch > float(config["labels.interaction_threshold"])).astype(np.float64),
+    }
     aggregates = author_ltv.aggregate_author_days(dataset)
     diag = attribution.table1_diagnostics(dataset, att_cfg)
     pdq.save_tables(workdir / "tables.txt", spec, tables, meta=meta)
-    datamodel.save_labeled(workdir / "labeled.txt", examples, meta=meta)
+    datamodel.save_labeled(workdir / "labeled.txt", labels, meta=meta)
     author_ltv.save_aggregates(workdir / "aggregates.txt", aggregates, meta=meta)
     attribution.save_diagnostics(workdir / "diagnostics.txt", diag, meta=meta)
 
 
-def _build_streams(dataset: Dataset, examples, spec, config: PipelineConfig,
-                   aggregates=None):
+def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggregates):
     """Per-day (standard, delayed) StreamData for the training split."""
-    by_key = {(e.session_id, e.index): e for e in examples}
-    by_day: dict[int, list] = {}
-    record_of: dict[tuple[int, int], object] = {}
-    for sess in dataset.sessions:
-        for i, r in enumerate(sess.records):
-            record_of[(sess.session_id, i)] = r
-        by_day.setdefault(sess.day, []).append(sess)
-
+    records = list(dataset.iter_records())
+    first_row = dict(zip((s.session_id for s in dataset.sessions),
+                         accumulate((len(s) for s in dataset.sessions), initial=0)))
     train_days, _ = _split_days(dataset, int(config["train.test_days"]))
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
-    if aggregates is None:
-        aggregates = author_ltv.aggregate_author_days(dataset)
 
-    total = sum(len(s.records) for d in train_days for s in by_day.get(d, []))
+    total = sum(len(s.records) for s in dataset.sessions if s.day in train_days)
     max_n = int(config["train.max_examples"])
     keep = min(1.0, max_n / total) if total > max_n else 1.0
     rng = np.random.default_rng(np.random.SeedSequence((int(config["seed"]), 0x50b)))
@@ -165,37 +178,28 @@ def _build_streams(dataset: Dataset, examples, spec, config: PipelineConfig,
             warnings.simplefilter("ignore", UserWarning)
             plan = author_ltv.plan_dual_stream(dataset, t, N=N, alpha=alpha,
                                                aggregates=aggregates)
-        std_keys = plan.standard
+        rows = np.array([first_row[sid] + i for sid, i in plan.standard], dtype=np.int64)
         if keep < 1.0:
-            mask = rng.random(len(std_keys)) < keep
-            std_keys = [k for k, m in zip(std_keys, mask) if m]
-        recs = [record_of[k] for k in std_keys]
-        if not recs:
+            rows = rows[rng.random(len(rows)) < keep]
+        if not len(rows):
             continue
-        feats = predictor.encode_features(recs, spec, hc)
-        labels = {
-            "pdq": np.array([by_key[k].pdq_label for k in std_keys]),
-            "slide": np.array([by_key[k].slide_time for k in std_keys]),
-            "attr": np.array([by_key[k].attributed_slide_time for k in std_keys]),
-            "watch": np.array([by_key[k].watch_time_label for k in std_keys]),
-            "completion": np.array([by_key[k].completion_label for k in std_keys]),
-            "interaction": np.array([by_key[k].interaction_label for k in std_keys]),
-        }
-        std = predictor.StreamData(features=feats, labels=labels)
+        std = predictor.StreamData(
+            features=predictor.encode_features([records[i] for i in rows], spec, hc),
+            labels={head: labels[head][rows] for head in LABEL_COLUMNS})
         delayed = None
         if plan.delayed:
             # delayed labels mature within the training split only if their
             # window ends on a training day
-            usable = [(sid, i, y) for sid, i, y in plan.delayed]
+            drows = np.array([first_row[sid] + i for sid, i, _ in plan.delayed],
+                             dtype=np.int64)
+            author = np.array([y for _, _, y in plan.delayed])
             if keep < 1.0:
-                mask = rng.random(len(usable)) < keep
-                usable = [u for u, m in zip(usable, mask) if m]
-            if usable:
-                drecs = [record_of[(sid, i)] for sid, i, _ in usable]
-                dfeats = predictor.encode_features(drecs, spec, hc)
+                mask = rng.random(len(drows)) < keep
+                drows, author = drows[mask], author[mask]
+            if len(drows):
                 delayed = predictor.StreamData(
-                    features=dfeats,
-                    labels={"author": np.array([y for _, _, y in usable])})
+                    features=predictor.encode_features([records[i] for i in drows], spec, hc),
+                    labels={"author": author})
         days.append((std, delayed))
     if not days:
         raise ValueError("training split is empty")
@@ -204,10 +208,10 @@ def _build_streams(dataset: Dataset, examples, spec, config: PipelineConfig,
 
 def _run_train(config: PipelineConfig, workdir: Path, meta: str) -> None:
     dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    examples = datamodel.load_labeled(workdir / "labeled.txt")
+    labels = _load_labels(workdir, dataset)
     spec, _ = pdq.load_tables(workdir / "tables.txt")
     aggregates = author_ltv.load_aggregates(workdir / "aggregates.txt")
-    days = _build_streams(dataset, examples, spec, config, aggregates=aggregates)
+    days = _build_streams(dataset, labels, spec, config, aggregates)
     params, trace = predictor.train(days, config.train_config())
     predictor.save_params(workdir / "params.txt", params, meta=meta)
     artifacts.write(workdir / "loss_trace.txt", "loss-trace",
@@ -216,55 +220,34 @@ def _run_train(config: PipelineConfig, workdir: Path, meta: str) -> None:
                        for epoch, row in enumerate(trace) for head in sorted(row)], meta)
 
 
-def _test_examples(dataset: Dataset, examples, config: PipelineConfig):
-    _, test_days = _split_days(dataset, int(config["train.test_days"]))
-    test_set = set(test_days)
-    by_key = {(e.session_id, e.index): e for e in examples}
-    recs, exs, pages = [], [], []
-    for sess in dataset.sessions:
-        if sess.day in test_set:
-            for i, r in enumerate(sess.records):
-                recs.append(r)
-                exs.append(by_key[(sess.session_id, i)])
-                pages.append(r.page_index)
-    return recs, exs, np.asarray(pages, dtype=np.int64), test_days
-
-
 def _run_eval(config: PipelineConfig, workdir: Path, meta: str) -> None:
     dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    examples = datamodel.load_labeled(workdir / "labeled.txt")
+    labels = _load_labels(workdir, dataset)
     spec, _ = pdq.load_tables(workdir / "tables.txt")
     params = predictor.load_params(workdir / "params.txt")
     aggregates = author_ltv.load_aggregates(workdir / "aggregates.txt")
     seed = int(config["seed"])
 
-    recs, exs, pages, _ = _test_examples(dataset, examples, config)
+    _, test_days = _split_days(dataset, int(config["train.test_days"]))
+    day = np.repeat([s.day for s in dataset.sessions], [len(s) for s in dataset.sessions])
+    rows = np.flatnonzero(np.isin(day, test_days))
     max_n = int(config["eval.max_n"])
-    if len(recs) > max_n:
+    if len(rows) > max_n:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xe7a1)))
-        idx = np.sort(rng.choice(len(recs), size=max_n, replace=False))
-        recs = [recs[i] for i in idx]
-        exs = [exs[i] for i in idx]
-        pages = pages[idx]
+        rows = rows[np.sort(rng.choice(len(rows), size=max_n, replace=False))]
+    records = list(dataset.iter_records())
+    recs = [records[i] for i in rows]
     feats = predictor.encode_features(recs, spec, params.hash_config)
     preds = predictor.predict(params, feats)
-    groups = spec.group_array(pages)
+    groups = spec.group_array(np.array([r.page_index for r in recs], dtype=np.int64))
 
     report = metrics.MetricsReport(dataset_id=str(workdir / "dataset.txt"),
                                    model_id=str(workdir / "params.txt"),
                                    seed=seed)
-    label_of = {
-        "pdq": np.array([e.pdq_label for e in exs]),
-        "slide": np.array([e.slide_time for e in exs]),
-        "attr": np.array([e.attributed_slide_time for e in exs]),
-        "watch": np.array([e.watch_time_label for e in exs]),
-        "completion": np.array([e.completion_label for e in exs]),
-        "interaction": np.array([e.interaction_label for e in exs]),
-    }
-    for head, labels in label_of.items():
+    for head in LABEL_COLUMNS:
         if head in preds:
             g = groups if head in ("pdq", "slide") else None
-            report.add_head(head, preds[head], labels, groups=g)
+            report.add_head(head, preds[head], labels[head][rows], groups=g)
 
     # the author head needs matured labels: evaluate on the latest day whose
     # N-day window is fully observed
@@ -316,25 +299,22 @@ def _run_replay(config: PipelineConfig, workdir: Path, meta: str) -> None:
 
 def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
     dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    examples = datamodel.load_labeled(workdir / "labeled.txt")
+    labels = _load_labels(workdir, dataset)
     spec, tables = pdq.load_tables(workdir / "tables.txt")
     Q = float(config["cap_q"])
 
     # page index vs mean slide time and zero share (position-bias picture)
-    sums: dict[int, float] = {}
-    zeros: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for sess in dataset.sessions:
-        st = datamodel.session_slide_times(sess, Q=Q)
-        for r, s in zip(sess.records, st):
-            p = r.page_index
-            sums[p] = sums.get(p, 0.0) + float(s)
-            zeros[p] = zeros.get(p, 0) + int(s == 0.0)
-            counts[p] = counts.get(p, 0) + 1
+    slide = labels["slide"]
+    pages = np.fromiter((r.page_index for r in dataset.iter_records()),
+                        dtype=np.int64, count=len(slide))
+    counts = np.bincount(pages)
+    sums = np.bincount(pages, weights=slide)
+    zeros = np.bincount(pages[slide == 0.0], minlength=len(counts))
     artifacts.write(workdir / "plot_page_slide.txt", "plot-page-slide",
                     ["page_index\tn\tmean_slide_time\tzero_fraction"]
                     + [f"{p}\t{counts[p]}\t{fmt_real(sums[p] / counts[p])}\t"
-                       f"{fmt_real(zeros[p] / counts[p])}" for p in sorted(counts)], meta)
+                       f"{fmt_real(zeros[p] / counts[p])}" for p in np.flatnonzero(counts)],
+                    meta)
 
     # per-group quantile thresholds
     artifacts.write(workdir / "plot_quantiles.txt", "plot-quantiles",
@@ -343,11 +323,9 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
                        for j, th in enumerate(tables[k].thresholds, start=1)], meta)
 
     # slide-time and attributed-slide-time histograms on a shared grid
-    slide = np.array([e.slide_time for e in examples])
-    attr = np.array([e.attributed_slide_time for e in examples])
     edges = np.linspace(0.0, Q, 31)
     hist_s, _ = np.histogram(slide, bins=edges)
-    hist_a, _ = np.histogram(attr, bins=edges)
+    hist_a, _ = np.histogram(labels["attr"], bins=edges)
     artifacts.write(workdir / "plot_slide_hist.txt", "plot-slide-hist",
                     ["bin_lo\tbin_hi\tslide_count\tattr_count"]
                     + [f"{fmt_real(edges[b])}\t{fmt_real(edges[b + 1])}\t{hist_s[b]}\t{hist_a[b]}"

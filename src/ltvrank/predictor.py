@@ -116,28 +116,6 @@ class PredictorParams:
             arrays[f"tower/{head}/bo"] = np.zeros(1)
         return cls(arrays, heads, hc)
 
-    def copy(self) -> "PredictorParams":
-        return PredictorParams({k: v.copy() for k, v in self.arrays.items()},
-                               self.heads, self.hash_config)
-
-    def shared_names(self) -> list[str]:
-        return [k for k in self.arrays if not k.startswith("tower/")]
-
-    def tower_names(self, head: str) -> list[str]:
-        return [k for k in self.arrays if k.startswith(f"tower/{head}/")]
-
-    def to_vector(self, names=None) -> np.ndarray:
-        names = names or sorted(self.arrays)
-        return np.concatenate([self.arrays[n].ravel() for n in names])
-
-    def from_vector(self, vec: np.ndarray, names=None) -> None:
-        names = names or sorted(self.arrays)
-        offset = 0
-        for n in names:
-            size = self.arrays[n].size
-            self.arrays[n] = vec[offset:offset + size].reshape(self.arrays[n].shape).copy()
-            offset += size
-
 
 def encode_features(impressions, page_group_spec, hash_config: HashConfig | None = None) -> np.ndarray:
     """Hash (user, video, author, category, page group) ids to index rows."""

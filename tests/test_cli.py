@@ -1,5 +1,12 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ltvrank
 from ltvrank.cli import build_parser, main
 
 TINY_SETS = []
@@ -75,6 +82,17 @@ class TestExitCodes:
         assert run("train", tmp_path) == 1
         assert f"{path}:3:" in capsys.readouterr().err
 
+    def test_labels_of_other_dataset_exit_one(self, tmp_path, capsys):
+        own, other = tmp_path / "own", tmp_path / "other"
+        for workdir, seed in ((own, "1"), (other, "2")):
+            assert run("gen", workdir, "--seed", seed) == 0
+            assert run("labels", workdir, "--seed", seed) == 0
+        shutil.copyfile(other / "labeled.txt", own / "labeled.txt")
+        capsys.readouterr()
+        assert run("train", own, "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(own / "labeled.txt") in err
+
     def test_report_missing_summary_exit_one(self, tmp_path, capsys):
         assert run("all", tmp_path) == 0
         (tmp_path / "metrics_summary.txt").unlink()
@@ -118,3 +136,17 @@ class TestBehaviour:
         for stage in ("gen", "labels", "train", "eval", "replay", "report"):
             assert f"ltvrank {stage}: ok" in out
         assert (tmp_path / "report.txt").exists()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """``--threads`` must reach the environment before numpy starts its
+    thread pools, so importing the entry point must not import numpy."""
+    code = ("import sys, ltvrank.cli, ltvrank\n"
+            "print('numpy' in sys.modules)\n"
+            "missing = [n for n in ltvrank.__all__ if not hasattr(ltvrank, n)]\n"
+            "print(missing)\n")
+    src = str(Path(ltvrank.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == ["False", "[]"]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ltvrank import datamodel
 from ltvrank.config import (
     ConfigError,
     DEFAULTS,
@@ -94,10 +95,10 @@ def pipeline_dir(tmp_path_factory):
     return workdir, config, statuses
 
 
-def _import_checks():
-    """The benchmark's own artifact checks, loaded from their file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+def _import_perfbench(name):
+    """A module of the benchmark, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -158,6 +159,31 @@ class TestPipeline:
 
     def test_benchmark_checks_pass(self, pipeline_dir):
         workdir, config, _ = pipeline_dir
-        checks = _import_checks()
+        checks = _import_perfbench("checks")
         log = checks.Log(workdir / "dataset.txt")
         assert checks.check_workdir(workdir, log, float(config["cap_q"])) == []
+
+    def test_labeled_round_trip(self, pipeline_dir, tmp_path):
+        workdir, _, _ = pipeline_dir
+        original = workdir / "labeled.txt"
+        labels = datamodel.load_labeled(original)
+        meta = original.read_text().splitlines()[1].removeprefix("#meta ")
+        copy = tmp_path / "labeled.txt"
+        datamodel.save_labeled(copy, labels, meta=meta)
+        assert copy.read_bytes() == original.read_bytes()
+        again = datamodel.load_labeled(copy)
+        assert list(again) == list(datamodel.KEY_COLUMNS + datamodel.LABEL_COLUMNS)
+        for name, column in again.items():
+            expect = np.int64 if name in datamodel.KEY_COLUMNS else np.float64
+            assert column.dtype == expect, name
+            assert np.array_equal(column, labels[name]), name
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark's tracer wraps is still a public
+    function of its module, so ``--trace 1`` keeps reporting it."""
+    tracer = _import_perfbench("tracer")
+    for module_name, functions in tracer.TRACED.items():
+        module = importlib.import_module(f"ltvrank.{module_name}")
+        for fn_name in functions:
+            assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
