@@ -75,9 +75,10 @@ def main(argv=None) -> int:
         return 1
 
     stages = STAGES if args.stage == "all" else (args.stage,)
+    loaded: dict = {}  # artifacts handed from stage to stage in memory
     try:
         for stage in stages:
-            status = run_stage(stage, config, args.workdir)
+            status = run_stage(stage, config, args.workdir, loaded)
             print(f"ltvrank {stage}: {status}")
     except (StageInputError, ConfigError, ValueError) as exc:
         print(f"ltvrank: validation error: {exc}", file=sys.stderr)

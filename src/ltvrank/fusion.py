@@ -181,11 +181,19 @@ def replay_eval(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
     across ``n_seeds`` replay seeds, with percentile confidence intervals."""
     metrics = ("vv", "watch", "qa_watch", "lt_n")
     per_seed: dict[str, list[float]] = {m: [] for m in metrics}
+    # every seed and both weightings replay the same sessions: score each once
+    scored: dict[int, dict[str, np.ndarray]] = {}
+
+    def scorer_once(session):
+        if session.session_id not in scored:
+            scored[session.session_id] = scorer(session)
+        return scored[session.session_id]
+
     for s in range(n_seeds):
         seed = base_seed + s
-        test = replay(dataset, gt, gen_config, scorer, weights, holdout_days,
+        test = replay(dataset, gt, gen_config, scorer_once, weights, holdout_days,
                       seed=seed, lt_window=lt_window)
-        base = replay(dataset, gt, gen_config, scorer, baseline_weights,
+        base = replay(dataset, gt, gen_config, scorer_once, baseline_weights,
                       holdout_days, seed=seed, lt_window=lt_window)
         for m in metrics:
             per_seed[m].append(getattr(test, m) - getattr(base, m))

@@ -4,6 +4,16 @@ Each stage reads the artifacts of earlier stages from a working directory,
 writes its own atomically, and embeds the resolved config hash plus master
 seed in a ``#meta`` line. Rerunning a stage whose outputs already carry the
 current hash is a no-op ("cached").
+
+Stages run in one invocation (``run_stages``, ``ltvrank all``) share a dict
+from artifact name to object. A stage stores each artifact it saves there,
+and a later stage takes its inputs from it, so each artifact is parsed at
+most once per invocation. An input whose writer did not run in this
+invocation (it was cached, or the stages run one command at a time) is
+loaded from disk by the artifact's strict loader and then kept in the dict
+too. Every writer formats reals with shortest round-trip ``repr``, so the
+object a stage saved equals what the loader would return from its bytes;
+stage bodies never mutate an object they take from the dict.
 """
 
 from __future__ import annotations
@@ -79,13 +89,13 @@ def _row_keys(dataset: Dataset) -> dict[str, np.ndarray]:
             "index": np.arange(lengths.sum()) - np.repeat(starts, lengths)}
 
 
-def _load_labels(workdir: Path, dataset: Dataset) -> dict[str, np.ndarray]:
+def _load_labels(workdir: Path, loaded: dict) -> dict[str, np.ndarray]:
     """``labeled.txt``'s columns, checked to hold one row per impression of
     ``dataset.txt`` in dataset order, so that row ``i`` of every column
     labels the dataset's ``i``-th impression."""
     path = workdir / "labeled.txt"
     labels = datamodel.load_labeled(path)
-    keys = _row_keys(dataset)
+    keys = _row_keys(_input("dataset.txt", workdir, loaded))
     if not all(np.array_equal(labels[name], keys[name]) for name in KEY_COLUMNS):
         raise ValueError(f"{path} does not hold one row per impression of "
                          f"{workdir / 'dataset.txt'} in dataset order; "
@@ -93,8 +103,36 @@ def _load_labels(workdir: Path, dataset: Dataset) -> dict[str, np.ndarray]:
     return labels
 
 
-def run_stage(stage: str, config: PipelineConfig, workdir) -> str:
-    """Run one pipeline stage. Returns "ok" or "cached"."""
+#: input artifact -> its loader from disk, given (workdir, loaded). Loaders
+#: are looked up on their modules at call time, so wrappers installed there
+#: see every disk load.
+_LOADERS = {
+    "dataset.txt": lambda workdir, _: datamodel.load_dataset(workdir / "dataset.txt"),
+    "groundtruth.txt": lambda workdir, _: synthgen.load_ground_truth(
+        workdir / "groundtruth.txt"),
+    "labeled.txt": _load_labels,
+    "tables.txt": lambda workdir, _: pdq.load_tables(workdir / "tables.txt"),
+    "aggregates.txt": lambda workdir, _: author_ltv.load_aggregates(
+        workdir / "aggregates.txt"),
+    "params.txt": lambda workdir, _: predictor.load_params(workdir / "params.txt"),
+}
+
+
+def _input(name: str, workdir: Path, loaded: dict):
+    """Input artifact ``name``: the object this invocation already holds,
+    else the one its loader reads from disk (then held for later stages)."""
+    if name not in loaded:
+        loaded[name] = _LOADERS[name](workdir, loaded)
+    return loaded[name]
+
+
+def run_stage(stage: str, config: PipelineConfig, workdir, loaded=None) -> str:
+    """Run one pipeline stage. Returns "ok" or "cached".
+
+    ``loaded`` maps artifact names to the objects earlier stages of the same
+    invocation saved or loaded; the stage takes its inputs from it and adds
+    the artifacts it saves.
+    """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
     workdir = Path(workdir)
@@ -103,32 +141,38 @@ def run_stage(stage: str, config: PipelineConfig, workdir) -> str:
     meta = _meta(config)
     if _is_cached(stage, workdir, meta):
         return "cached"
+    loaded = {} if loaded is None else loaded
+    for name in STAGE_FILES[stage][1]:
+        loaded.pop(name, None)
     runner = {
         "gen": _run_gen, "labels": _run_labels, "train": _run_train,
         "eval": _run_eval, "replay": _run_replay, "report": _run_report,
     }[stage]
-    runner(config, workdir, meta)
+    runner(config, workdir, meta, loaded)
     return "ok"
 
 
 def run_stages(stages, config: PipelineConfig, workdir) -> dict[str, str]:
-    """Run stages in pipeline order; returns stage -> status."""
+    """Run stages in pipeline order, each handing its artifacts to the
+    later ones in memory; returns stage -> status."""
     order = [s for s in STAGES if s in set(stages)]
-    return {s: run_stage(s, config, workdir) for s in order}
+    loaded: dict = {}
+    return {s: run_stage(s, config, workdir, loaded) for s in order}
 
 
 # ---------------------------------------------------------------------------
 # Stage bodies
 # ---------------------------------------------------------------------------
 
-def _run_gen(config: PipelineConfig, workdir: Path, meta: str) -> None:
+def _run_gen(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset, gt = synthgen.generate(config.gen_config())
     datamodel.save_dataset(workdir / "dataset.txt", dataset, meta=meta)
     synthgen.save_ground_truth(workdir / "groundtruth.txt", gt, meta=meta)
+    loaded.update({"dataset.txt": dataset, "groundtruth.txt": gt})
 
 
-def _run_labels(config: PipelineConfig, workdir: Path, meta: str) -> None:
-    dataset = datamodel.load_dataset(workdir / "dataset.txt")
+def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    dataset = _input("dataset.txt", workdir, loaded)
     Q = float(config["cap_q"])
     spec = pdq.fit_page_groups(dataset, M=int(config["pdq.M"]),
                                mode=str(config["pdq.mode"]))
@@ -154,6 +198,8 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str) -> None:
     datamodel.save_labeled(workdir / "labeled.txt", labels, meta=meta)
     author_ltv.save_aggregates(workdir / "aggregates.txt", aggregates, meta=meta)
     attribution.save_diagnostics(workdir / "diagnostics.txt", diag, meta=meta)
+    loaded.update({"tables.txt": (spec, tables), "labeled.txt": labels,
+                   "aggregates.txt": aggregates})
 
 
 def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggregates):
@@ -206,26 +252,27 @@ def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggre
     return days
 
 
-def _run_train(config: PipelineConfig, workdir: Path, meta: str) -> None:
-    dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    labels = _load_labels(workdir, dataset)
-    spec, _ = pdq.load_tables(workdir / "tables.txt")
-    aggregates = author_ltv.load_aggregates(workdir / "aggregates.txt")
+def _run_train(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    dataset = _input("dataset.txt", workdir, loaded)
+    labels = _input("labeled.txt", workdir, loaded)
+    spec, _ = _input("tables.txt", workdir, loaded)
+    aggregates = _input("aggregates.txt", workdir, loaded)
     days = _build_streams(dataset, labels, spec, config, aggregates)
     params, trace = predictor.train(days, config.train_config())
     predictor.save_params(workdir / "params.txt", params, meta=meta)
+    loaded["params.txt"] = params
     artifacts.write(workdir / "loss_trace.txt", "loss-trace",
                     ["epoch\thead\tmean_loss"]
                     + [f"{epoch}\t{head}\t{fmt_real(row[head])}"
                        for epoch, row in enumerate(trace) for head in sorted(row)], meta)
 
 
-def _run_eval(config: PipelineConfig, workdir: Path, meta: str) -> None:
-    dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    labels = _load_labels(workdir, dataset)
-    spec, _ = pdq.load_tables(workdir / "tables.txt")
-    params = predictor.load_params(workdir / "params.txt")
-    aggregates = author_ltv.load_aggregates(workdir / "aggregates.txt")
+def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    dataset = _input("dataset.txt", workdir, loaded)
+    labels = _input("labeled.txt", workdir, loaded)
+    spec, _ = _input("tables.txt", workdir, loaded)
+    params = _input("params.txt", workdir, loaded)
+    aggregates = _input("aggregates.txt", workdir, loaded)
     seed = int(config["seed"])
 
     _, test_days = _split_days(dataset, int(config["train.test_days"]))
@@ -283,11 +330,11 @@ def make_scorer(params, spec):
     return scorer
 
 
-def _run_replay(config: PipelineConfig, workdir: Path, meta: str) -> None:
-    dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    gt = synthgen.load_ground_truth(workdir / "groundtruth.txt")
-    spec, _ = pdq.load_tables(workdir / "tables.txt")
-    params = predictor.load_params(workdir / "params.txt")
+def _run_replay(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    dataset = _input("dataset.txt", workdir, loaded)
+    gt = _input("groundtruth.txt", workdir, loaded)
+    spec, _ = _input("tables.txt", workdir, loaded)
+    params = _input("params.txt", workdir, loaded)
     _, test_days = _split_days(dataset, int(config["train.test_days"]))
     report = fusion.replay_eval(
         dataset, gt, config.gen_config(), make_scorer(params, spec),
@@ -297,10 +344,10 @@ def _run_replay(config: PipelineConfig, workdir: Path, meta: str) -> None:
     fusion.save_replay_report(workdir / "replay.txt", report, meta=meta)
 
 
-def _run_report(config: PipelineConfig, workdir: Path, meta: str) -> None:
-    dataset = datamodel.load_dataset(workdir / "dataset.txt")
-    labels = _load_labels(workdir, dataset)
-    spec, tables = pdq.load_tables(workdir / "tables.txt")
+def _run_report(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    dataset = _input("dataset.txt", workdir, loaded)
+    labels = _input("labeled.txt", workdir, loaded)
+    spec, tables = _input("tables.txt", workdir, loaded)
     Q = float(config["cap_q"])
 
     # page index vs mean slide time and zero share (position-bias picture)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .artifacts import fmt_real
 
 FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 
@@ -37,6 +36,7 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, head: str, epoch: int):
         super().__init__(f"non-finite loss on head {head!r} at epoch {epoch}")
         self.head = head
+        self.epoch = epoch
 
 
 @dataclass
@@ -444,7 +444,7 @@ def save_params(path, params: PredictorParams, meta: str | None = None) -> None:
         for name in sorted(params.arrays):
             arr = params.arrays[name]
             shape = ",".join(str(s) for s in arr.shape)
-            values = ",".join(fmt_real(x) for x in arr.ravel())
+            values = ",".join(map(repr, arr.ravel().tolist()))
             yield f"P\t{name}\t{shape}\t{values}"
 
     artifacts.write(path, "params", lines(), meta)

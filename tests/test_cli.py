@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import ltvrank
+from ltvrank import author_ltv, datamodel, pdq, predictor, synthgen
 from ltvrank.cli import build_parser, main
+from ltvrank.pipeline import STAGES
 
 TINY_SETS = []
 for pair in ("gen.n_users=40", "gen.n_videos=300", "gen.n_authors=15",
@@ -71,7 +73,8 @@ class TestExitCodes:
         assert run("gen", tmp_path, "--threads", "0") == 1
         assert "--threads" in capsys.readouterr().err
 
-    def test_corrupt_artifact_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("stage", ["train", "all"])
+    def test_corrupt_artifact_exit_one(self, tmp_path, capsys, stage):
         assert run("gen", tmp_path) == 0
         assert run("labels", tmp_path) == 0
         path = tmp_path / "labeled.txt"
@@ -79,7 +82,9 @@ class TestExitCodes:
         lines[2] = "not\ta\trecord\n"
         path.write_text("".join(lines))
         capsys.readouterr()
-        assert run("train", tmp_path) == 1
+        # the #meta line is intact, so under `all` the labels stage is cached
+        # and train reads the corrupt file from disk
+        assert run(stage, tmp_path) == 1
         assert f"{path}:3:" in capsys.readouterr().err
 
     def test_labels_of_other_dataset_exit_one(self, tmp_path, capsys):
@@ -136,6 +141,63 @@ class TestBehaviour:
         for stage in ("gen", "labels", "train", "eval", "replay", "report"):
             assert f"ltvrank {stage}: ok" in out
         assert (tmp_path / "report.txt").exists()
+
+
+ARTIFACTS = ("dataset.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
+             "aggregates.txt", "diagnostics.txt", "params.txt", "loss_trace.txt",
+             "metrics.txt", "metrics_summary.txt", "replay.txt", "report.txt",
+             "plot_page_slide.txt", "plot_quantiles.txt", "plot_slide_hist.txt")
+
+
+def _artifact_bytes(workdir):
+    return {name: (workdir / name).read_bytes().replace(str(workdir).encode(), b"WD")
+            for name in ARTIFACTS}
+
+
+class TestInMemoryHandOff:
+    """``all`` hands each artifact to later stages in memory; stages run one
+    command at a time read them from disk. Both must write the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("cold")
+        assert run("all", workdir) == 0
+        return workdir
+
+    def test_compares_every_artifact(self, cold):
+        assert sorted(p.name for p in cold.iterdir()) == sorted(ARTIFACTS)
+
+    def test_stage_by_stage_matches_all(self, tmp_path, cold, capsys):
+        for stage in STAGES:
+            assert run(stage, tmp_path) == 0
+        assert capsys.readouterr().out.count(": ok") == len(STAGES)
+        assert _artifact_bytes(tmp_path) == _artifact_bytes(cold)
+
+    def test_all_after_cached_stages_matches_all(self, tmp_path, cold, capsys):
+        assert run("gen", tmp_path) == 0
+        assert run("labels", tmp_path) == 0
+        capsys.readouterr()
+        assert run("all", tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "ltvrank gen: cached" in out and "ltvrank labels: cached" in out
+        assert _artifact_bytes(tmp_path) == _artifact_bytes(cold)
+
+    def test_each_artifact_parsed_at_most_once(self, tmp_path, monkeypatch):
+        assert run("gen", tmp_path) == 0
+        assert run("labels", tmp_path) == 0
+        calls = []
+        for module, name in ((datamodel, "load_dataset"), (datamodel, "load_labeled"),
+                             (pdq, "load_tables"), (author_ltv, "load_aggregates"),
+                             (predictor, "load_params"),
+                             (synthgen, "load_ground_truth")):
+            def counted(path, _load=getattr(module, name)):
+                calls.append(Path(path).name)
+                return _load(path)
+            monkeypatch.setattr(module, name, counted)
+        assert run("all", tmp_path) == 0
+        # gen and labels were cached, so their outputs come from disk, once
+        assert sorted(calls) == sorted(["dataset.txt", "groundtruth.txt", "labeled.txt",
+                                        "tables.txt", "aggregates.txt"])
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -147,6 +147,17 @@ class TestReplay:
             assert lo <= hi
             assert lo <= report.deltas[m] <= hi or len(set(report.per_seed[m])) > 1
 
+    def test_scores_each_session_once(self, small_corpus):
+        ds, gt = small_corpus
+        scorer = affinity_scorer(gt)
+        calls = []
+        days = [max(s.day for s in ds.sessions)]
+        replay_eval(ds, gt, SMALL_GEN, lambda s: calls.append(s.session_id) or scorer(s),
+                    FusionWeights(1.0, 1.0, 2.0), FusionWeights(1.0, 1.0, 0.0),
+                    days, n_seeds=3)
+        held_out = [s.session_id for s in ds.sessions if s.day in days]
+        assert calls == held_out
+
     def test_save_report(self, small_corpus, tmp_path):
         ds, gt = small_corpus
         scorer = affinity_scorer(gt)

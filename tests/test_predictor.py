@@ -204,8 +204,11 @@ class TestTraining:
         day = StreamData(features=feats, labels=labels)
         cfg = TrainConfig(epochs=5, seed=5, learning_rate=1e40)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(TrainingDiverged, match="slide"):
+                pytest.raises(TrainingDiverged, match="slide") as info:
             train([(day, None)], cfg, heads=("slide",))
+        assert info.value.head == "slide"
+        assert 0 <= info.value.epoch < cfg.epochs
+        assert f"at epoch {info.value.epoch}" in str(info.value)
 
 
 class TestGradientCheck:
