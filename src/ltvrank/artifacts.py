@@ -69,11 +69,24 @@ def read(path, kind: str, parse: Callable[[list[str]], object]) -> list:
     return out
 
 
-def has_meta(path, meta: str) -> bool:
-    """Whether ``path`` exists and its second line is ``#meta <meta>``."""
+def _meta_line(path) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             fh.readline()
-            return fh.readline() == f"#meta {meta}\n"
+            return fh.readline()
     except OSError:
-        return False
+        return None
+
+
+def has_meta(path, meta: str) -> bool:
+    """Whether ``path`` exists and its second line is ``#meta <meta>``."""
+    return _meta_line(path) == f"#meta {meta}\n"
+
+
+def meta_key(path) -> str | None:
+    """``<key>`` of a ``#meta key=<key> ...`` second line of ``path``; None
+    if ``path`` is missing or its second line is not of that form."""
+    line = _meta_line(path)
+    if not line or not line.startswith("#meta key="):
+        return None
+    return line.split()[1].removeprefix("key=")

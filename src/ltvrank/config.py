@@ -1,13 +1,12 @@
 """Pipeline configuration: flat `key = value` files with typed defaults.
 
 Every key has a documented default below; unknown keys are rejected with
-the full list of offenders. The canonical serialization of the resolved
-config is hashed and embedded in every artifact the pipeline writes.
+the full list of offenders. Each pipeline stage hashes the canonical
+serialization of the keys it reads into the cache key of its artifacts.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import fields
 
 from .attribution import AttributionConfig
@@ -84,12 +83,12 @@ class PipelineConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def canonical(self) -> str:
-        lines = [f"{k} = {self.values[k]!r}" for k in sorted(self.values)]
+    def canonical(self, keys=None) -> str:
+        """One ``k = repr(v)`` line per key of ``keys`` (default: every
+        key), sorted by key."""
+        lines = [f"{k} = {self.values[k]!r}"
+                 for k in sorted(self.values if keys is None else keys)]
         return "\n".join(lines) + "\n"
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
     def gen_config(self) -> GenConfig:
         kwargs = {f.name: self.values[f"gen.{f.name}"]

@@ -1,9 +1,12 @@
 """End-to-end pipeline stages: gen, labels, train, eval, replay, report.
 
-Each stage reads the artifacts of earlier stages from a working directory,
-writes its own atomically, and embeds the resolved config hash plus master
-seed in a ``#meta`` line. Rerunning a stage whose outputs already carry the
-current hash is a no-op ("cached").
+Each stage reads the artifacts of earlier stages from a working directory
+and writes its own atomically, with a ``#meta key=<key> seed=<seed>`` line.
+A stage's key hashes its name, the config keys it reads (``STAGE_READS``)
+and the keys on the ``#meta`` lines of its input artifacts, so it covers
+everything upstream of the stage and nothing else: a key only replay reads
+reruns replay and report, not the stages before them. Rerunning a stage
+whose outputs already carry its key is a no-op ("cached").
 
 Stages run in one invocation (``run_stages``, ``ltvrank all``) share a dict
 from artifact name to object. A stage stores each artifact it saves there,
@@ -18,6 +21,7 @@ stage bodies never mutate an object they take from the dict.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from itertools import accumulate
 from pathlib import Path
@@ -27,7 +31,7 @@ import numpy as np
 from . import (artifacts, attribution, author_ltv, datamodel, fusion, metrics, pdq,
                predictor, synthgen)
 from .artifacts import fmt_real
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .datamodel import KEY_COLUMNS, LABEL_COLUMNS, Dataset
 
 STAGES = ("gen", "labels", "train", "eval", "replay", "report")
@@ -49,13 +53,36 @@ STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
                 "plot_slide_hist.txt")),
 }
 
+#: stage -> the config keys its body reads; ``p.*`` stands for every key
+#: that starts with ``p.``
+STAGE_READS: dict[str, tuple[str, ...]] = {
+    "gen": ("seed", "gen.*"),
+    "labels": ("cap_q", "pdq.*", "attribution.*", "labels.*"),
+    "train": ("seed", "train.*", "author.*"),
+    "eval": ("seed", "train.test_days", "eval.*", "author.*"),
+    "replay": ("seed", "gen.*", "train.test_days", "fusion.*", "replay.*"),
+    "report": ("cap_q",),
+}
+
 
 class StageInputError(ValueError):
     """A stage precondition failed: required input artifacts are missing."""
 
 
-def _meta(config: PipelineConfig) -> str:
-    return f"config={config.config_hash()} seed={config['seed']}"
+def declared_keys(stage: str) -> list[str]:
+    """The config keys ``stage`` reads, with each ``p.*`` expanded."""
+    reads = STAGE_READS[stage]
+    return sorted(k for k in DEFAULTS if k in reads or any(
+        r.endswith(".*") and k.startswith(r[:-1]) for r in reads))
+
+
+def stage_key(stage: str, config: PipelineConfig, workdir) -> str:
+    """Cache key of ``stage``: sha256 of its name, its declared config keys
+    and the ``#meta`` keys of its input artifacts in ``workdir``."""
+    text = (f"{stage}\n" + config.canonical(declared_keys(stage))
+            + "".join(f"{name} {artifacts.meta_key(Path(workdir) / name)}\n"
+                      for name in STAGE_FILES[stage][0]))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _check_inputs(stage: str, workdir: Path) -> None:
@@ -138,17 +165,13 @@ def run_stage(stage: str, config: PipelineConfig, workdir, loaded=None) -> str:
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     _check_inputs(stage, workdir)
-    meta = _meta(config)
+    meta = f"key={stage_key(stage, config, workdir)} seed={config['seed']}"
     if _is_cached(stage, workdir, meta):
         return "cached"
     loaded = {} if loaded is None else loaded
     for name in STAGE_FILES[stage][1]:
         loaded.pop(name, None)
-    runner = {
-        "gen": _run_gen, "labels": _run_labels, "train": _run_train,
-        "eval": _run_eval, "replay": _run_replay, "report": _run_report,
-    }[stage]
-    runner(config, workdir, meta, loaded)
+    RUNNERS[stage](config, workdir, meta, loaded)
     return "ok"
 
 
@@ -288,8 +311,8 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     preds = predictor.predict(params, feats)
     groups = spec.group_array(np.array([r.page_index for r in recs], dtype=np.int64))
 
-    report = metrics.MetricsReport(dataset_id=str(workdir / "dataset.txt"),
-                                   model_id=str(workdir / "params.txt"),
+    report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
+                                   model_id=artifacts.meta_key(workdir / "params.txt"),
                                    seed=seed)
     for head in LABEL_COLUMNS:
         if head in preds:
@@ -397,3 +420,8 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
             yield from artifacts.read(workdir / name, kind, "\t".join)
 
     artifacts.write(workdir / "report.txt", "report", lines(), meta)
+
+
+#: stage -> its body, called as ``body(config, workdir, meta, loaded)``
+RUNNERS = {"gen": _run_gen, "labels": _run_labels, "train": _run_train,
+           "eval": _run_eval, "replay": _run_replay, "report": _run_report}

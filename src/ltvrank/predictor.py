@@ -466,7 +466,7 @@ def load_params(path) -> PredictorParams:
                 hc.vocab[f] = int(v)
         elif parts[0] == "P":
             shape = tuple(int(s) for s in parts[2].split(","))
-            values = np.array([float(x) for x in parts[3].split(",")])
+            values = np.array(parts[3].split(","), dtype=np.float64)
             arrays[parts[1]] = values.reshape(shape)
         else:
             raise ValueError(f"unknown record tag {parts[0]!r}")

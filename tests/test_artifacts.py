@@ -50,3 +50,19 @@ def test_loader_rejects_corrupt_artifact_with_path_and_line(
     with pytest.raises(DatasetFormatError) as exc:
         load(path)
     assert f"{path}:{line_no}:" in str(exc.value)
+
+
+def test_params_rejects_non_numeric_value(artifact_dir, tmp_path):
+    """A ``P`` record with one bad value among its numbers, of the right
+    count for its shape, fails with the line of that record."""
+    lines = (artifact_dir / "params.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("P\t"))
+    fields = lines[line_no - 1].rstrip("\n").split("\t")
+    values = fields[3].split(",")
+    values[len(values) // 2] = "0.5x"
+    lines[line_no - 1] = "\t".join(fields[:3] + [",".join(values)]) + "\n"
+    path = tmp_path / "params.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        predictor.load_params(path)
+    assert f"{path}:{line_no}:" in str(exc.value)

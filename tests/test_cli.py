@@ -150,8 +150,7 @@ ARTIFACTS = ("dataset.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
 
 
 def _artifact_bytes(workdir):
-    return {name: (workdir / name).read_bytes().replace(str(workdir).encode(), b"WD")
-            for name in ARTIFACTS}
+    return {name: (workdir / name).read_bytes() for name in ARTIFACTS}
 
 
 class TestInMemoryHandOff:
@@ -198,6 +197,53 @@ class TestInMemoryHandOff:
         # gen and labels were cached, so their outputs come from disk, once
         assert sorted(calls) == sorted(["dataset.txt", "groundtruth.txt", "labeled.txt",
                                         "tables.txt", "aggregates.txt"])
+
+
+class TestScopedCache:
+    """A rerun under a changed config runs only the stages that read a
+    changed key or a changed input, and leaves the same bytes as a cold run
+    under the new config."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("scoped")
+        assert run("all", workdir) == 0
+        return workdir
+
+    @pytest.mark.parametrize("change, rerun", [
+        (["--set", "fusion.w_author=2.0"], ("replay", "report")),
+        (["--set", "train.learning_rate=0.03"], ("train", "eval", "replay", "report")),
+        (["--seed", "3"], STAGES),
+    ], ids=["fusion", "train", "seed"])
+    def test_rerun_matches_cold_run(self, cold, tmp_path, capsys, change, rerun):
+        work, fresh = tmp_path / "work", tmp_path / "fresh"
+        shutil.copytree(cold, work)
+        capsys.readouterr()
+        assert run("all", work, *change) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"ltvrank {stage}: {'ok' if stage in rerun else 'cached'}"
+                       for stage in STAGES]
+        assert run("all", fresh, *change) == 0
+        assert _artifact_bytes(work) == _artifact_bytes(fresh)
+
+    def test_replaced_input_is_not_cached(self, cold, tmp_path, capsys):
+        work, other = tmp_path / "work", tmp_path / "other"
+        shutil.copytree(cold, work)
+        assert run("gen", other, "--seed", "3") == 0
+        assert run("labels", other, "--seed", "3") == 0
+        shutil.copyfile(other / "labeled.txt", work / "labeled.txt")
+        capsys.readouterr()
+        # train's key covers its inputs' keys, so it reruns on the new file
+        # (and rejects it) instead of answering cached
+        assert run("train", work) == 1
+        assert str(work / "labeled.txt") in capsys.readouterr().err
+        # labels rewrites its stale output; the stages after it then find
+        # the inputs they were built from and stay cached
+        assert run("all", work) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"ltvrank {stage}: {'ok' if stage == 'labels' else 'cached'}"
+                       for stage in STAGES]
+        assert _artifact_bytes(work) == _artifact_bytes(cold)
 
 
 def test_cli_import_leaves_numpy_unloaded():

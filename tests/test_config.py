@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ from ltvrank.config import (
     load_config,
     parse_config_text,
 )
-from ltvrank.pipeline import STAGES, StageInputError, run_stage, run_stages
+from ltvrank.pipeline import (RUNNERS, STAGE_FILES, STAGES, StageInputError, declared_keys,
+                              run_stage, run_stages, stage_key)
 
 TINY = {
     "gen.n_users": "40", "gen.n_videos": "300", "gen.n_authors": "15",
@@ -45,13 +48,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.epochs"):
             PipelineConfig({"train.epochs": "three"})
 
-    def test_hash_stable_and_sensitive(self):
+    def test_hash_stable_and_sensitive(self, tmp_path):
         a = PipelineConfig({"seed": "1"})
         b = PipelineConfig({"seed": "1"})
         c = PipelineConfig({"seed": "2"})
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
-        assert len(a.config_hash()) == 16
+        d = PipelineConfig({"seed": "1", "fusion.w_author": "2.0"})
+        assert stage_key("gen", a, tmp_path) == stage_key("gen", b, tmp_path)
+        assert stage_key("gen", a, tmp_path) != stage_key("gen", c, tmp_path)
+        # a key only replay reads leaves the generator's key alone
+        assert stage_key("gen", a, tmp_path) == stage_key("gen", d, tmp_path)
+        assert stage_key("replay", a, tmp_path) != stage_key("replay", d, tmp_path)
+        assert len(stage_key("gen", a, tmp_path)) == 16
 
     def test_parse_config_text(self):
         text = "# a comment\nseed = 3\n\ntrain.lam = 0.2  # inline\n"
@@ -115,12 +122,24 @@ class TestPipeline:
             assert run_stage(stage, config, workdir) == "cached"
 
     def test_artifacts_carry_meta(self, pipeline_dir):
+        """Each artifact's ``#meta`` line carries the key of the stage that
+        wrote it, and each key hashes the stage's name, its declared config
+        keys and the keys of the stages that wrote its inputs."""
         workdir, config, _ = pipeline_dir
-        tag = f"#meta config={config.config_hash()} seed={config['seed']}"
-        for name in ("dataset.txt", "labeled.txt", "params.txt",
-                     "metrics.txt", "replay.txt", "report.txt"):
-            head = (workdir / name).read_text().splitlines()[:3]
-            assert tag in head, name
+        writer = {name: stage for stage in STAGES for name in STAGE_FILES[stage][1]}
+        keys = {}
+        for stage in STAGES:
+            text = (f"{stage}\n" + config.canonical(declared_keys(stage))
+                    + "".join(f"{name} {keys[writer[name]]}\n"
+                              for name in STAGE_FILES[stage][0]))
+            keys[stage] = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert stage_key(stage, config, workdir) == keys[stage], stage
+            for name in STAGE_FILES[stage][1]:
+                head = (workdir / name).read_text().splitlines()[:2]
+                assert head[1] == f"#meta key={keys[stage]} seed={config['seed']}", name
+        assert len(writer) == 15 and len(set(keys.values())) == len(STAGES)
+        assert declared_keys("gen") == sorted(
+            k for k in DEFAULTS if k == "seed" or k.startswith("gen."))
 
     def test_changed_config_reruns(self, pipeline_dir, tmp_path):
         workdir, _, _ = pipeline_dir
@@ -146,10 +165,7 @@ class TestPipeline:
         run_stages(STAGES, config, other)
         for name in ("dataset.txt", "labeled.txt", "params.txt",
                      "metrics.txt", "replay.txt", "report.txt"):
-            # metrics and report embed the artifact paths; normalize them
-            a = (workdir / name).read_text().replace(str(workdir), "WD")
-            b = (other / name).read_text().replace(str(other), "WD")
-            assert a == b, name
+            assert (workdir / name).read_bytes() == (other / name).read_bytes(), name
 
     def test_test_days_must_leave_training_days(self, pipeline_dir):
         workdir, _, _ = pipeline_dir
@@ -177,6 +193,35 @@ class TestPipeline:
             expect = np.int64 if name in datamodel.KEY_COLUMNS else np.float64
             assert column.dtype == expect, name
             assert np.array_equal(column, labels[name]), name
+
+
+class _RecordingValues(dict):
+    """A config's ``values`` dict that records every key looked up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_reads_exactly_its_declared_keys(stage, pipeline_dir, tmp_path):
+    """A stage body reads every config key its cache key covers and no
+    other, helper methods such as ``gen_config()`` included."""
+    workdir, _, _ = pipeline_dir
+    copy = tmp_path / "work"
+    shutil.copytree(workdir, copy)
+    config = load_config(overrides=TINY)
+    config.values = _RecordingValues(config.values)
+    RUNNERS[stage](config, copy, "key=0 seed=0", {})
+    assert sorted(config.values.read) == declared_keys(stage)
 
 
 def test_traced_functions_exist():
