@@ -29,7 +29,7 @@ _EXPORTS = {
         "DualStreamBatchPlan", "aggregate_author_days", "audit_no_leakage",
         "author_ltv_label", "plan_dual_stream"),
     "predictor": (
-        "HEAD_SPECS", "HashConfig", "PredictorParams", "StreamData", "TrainConfig",
+        "HEAD_SPECS", "VOCAB", "PredictorParams", "StreamData", "TrainConfig",
         "encode_features", "gradient_check", "hybrid_loss", "mse_loss", "predict",
         "train", "tweedie_loss"),
     "metrics": ("MetricsReport", "lt_n", "mae", "pcoc", "pcoc_bucketed", "xauc",

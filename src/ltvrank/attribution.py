@@ -46,9 +46,6 @@ class AttributionConfig:
         if missing:
             raise ValueError(f"missing weights for dimensions: {sorted(missing)}")
 
-    def weight_vector(self) -> np.ndarray:
-        return np.array([self.weights[d] for d in FLAG_NAMES])
-
 
 def _v2v_hit(a, b, threshold: float) -> bool:
     for vid, score in a.v2v_neighbors:

@@ -3,7 +3,9 @@
 The author label for (user, author) anchored at day t is a decayed sum of
 the user's watch time on that author's videos over the trailing N-day
 window. Because labels need N days to mature, training pairs each fresh
-day t with the matured day t-N, whose labels are complete by day t.
+day t with the matured day t-N, whose labels are complete by day t. A plan
+names its impressions by row: the position of the impression in dataset
+order, the row convention ``labeled.txt`` and the feature matrix share.
 """
 
 from __future__ import annotations
@@ -21,28 +23,21 @@ DEFAULT_WINDOW_N = 7
 DEFAULT_DECAY_ALPHA = 0.8
 
 
-@dataclass(frozen=True)
-class AuthorDayAggregate:
-    user_id: int
-    author_id: int
-    day: int
-    total_watch: float
-
-
 @dataclass
 class DualStreamBatchPlan:
-    """Sample schedule for one training day.
+    """Sample schedule for one training day, as int64 rows in dataset order.
 
-    standard: (session_id, index) keys of day-t impressions, no author label.
-    delayed: (session_id, index, author_ltv) for day t-N impressions, with
-    labels whose windows end at that impression's own anchor day + N - 1,
-    i.e. no later than t.
+    standard: rows of the day-t impressions, which carry no author label.
+    delayed: rows of the day-(t-N) impressions; ``author_labels[i]`` is the
+    author label of row ``delayed[i]``, whose window ends at that row's
+    anchor day + N, i.e. no later than t.
     """
 
     training_day: int
     window_n: int
-    standard: list[tuple[int, int]]
-    delayed: list[tuple[int, int, float]]
+    standard: np.ndarray
+    delayed: np.ndarray
+    author_labels: np.ndarray
 
 
 Aggregates = dict[tuple[int, int, int], float]
@@ -77,7 +72,7 @@ def author_ltv_label(aggregates: Aggregates, user_id: int, author_id: int,
 def plan_dual_stream(dataset: Dataset, t: int, N: int = DEFAULT_WINDOW_N,
                      alpha: float = DEFAULT_DECAY_ALPHA,
                      aggregates: Aggregates | None = None) -> DualStreamBatchPlan:
-    """Standard day-t samples plus matured day-(t-N) author-labeled samples.
+    """Standard day-t rows plus matured day-(t-N) rows with author labels.
 
     A delayed example anchored at day d = t-N carries the label over days
     [d+1 .. d+N], which is complete once day t has been observed.
@@ -86,23 +81,19 @@ def plan_dual_stream(dataset: Dataset, t: int, N: int = DEFAULT_WINDOW_N,
         raise ValueError(f"training day must be >= 0, got {t}")
     if aggregates is None:
         aggregates = aggregate_author_days(dataset)
-    standard: list[tuple[int, int]] = []
-    delayed: list[tuple[int, int, float]] = []
     delayed_day = t - N
     if delayed_day < 0:
         warnings.warn(f"training day {t} < N={N}: delayed stream is empty",
                       stacklevel=2)
-    for sess in dataset.sessions:
-        if sess.day == t:
-            for i in range(len(sess.records)):
-                standard.append((sess.session_id, i))
-        elif sess.day == delayed_day:
-            for i, r in enumerate(sess.records):
-                label = author_ltv_label(aggregates, r.user_id, r.author_id,
-                                         t=delayed_day + N, N=N, alpha=alpha)
-                delayed.append((sess.session_id, i, label))
+    day = np.repeat([s.day for s in dataset.sessions], [len(s.records) for s in dataset.sessions])
+    author_labels = np.array(
+        [author_ltv_label(aggregates, r.user_id, r.author_id, t=t, N=N, alpha=alpha)
+         for s in dataset.sessions if s.day == delayed_day for r in s.records],
+        dtype=np.float64)
     return DualStreamBatchPlan(training_day=t, window_n=N,
-                               standard=standard, delayed=delayed)
+                               standard=np.flatnonzero(day == t),
+                               delayed=np.flatnonzero(day == delayed_day),
+                               author_labels=author_labels)
 
 
 def audit_no_leakage(plan: DualStreamBatchPlan, dataset: Dataset,
@@ -117,21 +108,22 @@ def audit_no_leakage(plan: DualStreamBatchPlan, dataset: Dataset,
         for r in sess.records:
             key = (r.user_id, r.author_id, r.day)
             aggregates_by_day[key] = aggregates_by_day.get(key, 0.0) + r.watch_time
-    by_sid = {sess.session_id: sess for sess in dataset.sessions}
-    for sid, idx, label in plan.delayed:
-        sess = by_sid[sid]
-        r = sess.records[idx]
-        window_end = sess.day + N
+    rows = [(sess.day, r) for sess in dataset.sessions for r in sess.records]
+    if len(plan.author_labels) != len(plan.delayed):
+        violations.append(f"{len(plan.author_labels)} author labels for "
+                          f"{len(plan.delayed)} delayed rows")
+    for row, label in zip(plan.delayed, plan.author_labels):
+        anchor, r = rows[row]
+        window_end = anchor + N
         if window_end > plan.training_day:
             violations.append(
-                f"delayed example (session {sid}, idx {idx}) window ends day "
-                f"{window_end} > training day {plan.training_day}")
+                f"delayed row {row} window ends day {window_end} > training day "
+                f"{plan.training_day}")
         expect = author_ltv_label(aggregates_by_day, r.user_id, r.author_id,
                                   t=window_end, N=N, alpha=alpha)
         if not np.isclose(label, expect, rtol=1e-12, atol=1e-12):
             violations.append(
-                f"delayed example (session {sid}, idx {idx}) label {label} != "
-                f"recomputed {expect}")
+                f"delayed row {row} label {label} != recomputed {expect}")
     return violations
 
 

@@ -2,8 +2,8 @@
 
     ltvrank <stage> --config <path> [--set k=v ...] [--threads n] [--seed s]
 
-Exit codes: 0 success, 1 validation error (bad config, missing stage
-inputs, corrupt artifact), 2 runtime error.
+Exit codes: 0 success, 1 validation error (bad config, missing or stale
+stage inputs, corrupt artifact), 2 runtime error.
 """
 
 from __future__ import annotations

@@ -62,7 +62,9 @@ class PageGroupSpec:
         raise AssertionError("exhaustive ranges cannot miss")
 
     def group_array(self, page_indices: np.ndarray) -> np.ndarray:
-        """Vectorized group lookup."""
+        """Vectorized ``group_of``."""
+        if len(page_indices) and page_indices.min() < 0:
+            raise ValueError(f"page_index must be >= 0, got {page_indices.min()}")
         edges = np.array([lo for lo, _ in self.ranges[1:]], dtype=np.int64)
         return np.searchsorted(edges, page_indices, side="right")
 

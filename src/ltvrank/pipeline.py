@@ -6,7 +6,10 @@ A stage's key hashes its name, the config keys it reads (``STAGE_READS``)
 and the keys on the ``#meta`` lines of its input artifacts, so it covers
 everything upstream of the stage and nothing else: a key only replay reads
 reruns replay and report, not the stages before them. Rerunning a stage
-whose outputs already carry its key is a no-op ("cached").
+whose outputs already carry its key is a no-op ("cached"). Before that
+check, a stage refuses a stale input: one whose key, or the key of any
+artifact it was built from, differs from the key its writer has under the
+current config.
 
 Stages run in one invocation (``run_stages``, ``ltvrank all``) share a dict
 from artifact name to object. A stage stores each artifact it saves there,
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +67,12 @@ STAGE_READS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: artifact name -> the stage that writes it
+_WRITER = {name: stage for stage, (_, outputs) in STAGE_FILES.items() for name in outputs}
+
+
 class StageInputError(ValueError):
-    """A stage precondition failed: required input artifacts are missing."""
+    """A stage precondition failed: an input artifact is missing or stale."""
 
 
 def declared_keys(stage: str) -> list[str]:
@@ -92,6 +98,24 @@ def _check_inputs(stage: str, workdir: Path) -> None:
         raise StageInputError(
             f"stage {stage!r} is missing input artifacts: {', '.join(missing)}; "
             f"run the earlier stages first")
+
+
+def _check_current(stage: str, config: PipelineConfig, workdir: Path,
+                   keys: dict[str, str]) -> None:
+    """Raise unless every input of ``stage``, and every artifact those were
+    built from, carries the key its writer has under ``config``. ``keys``
+    holds the writers already checked, with their keys."""
+    for name in STAGE_FILES[stage][0]:
+        writer = _WRITER[name]
+        if writer not in keys:
+            _check_inputs(writer, workdir)
+            _check_current(writer, config, workdir, keys)
+            keys[writer] = stage_key(writer, config, workdir)
+        if artifacts.meta_key(workdir / name) != keys[writer]:
+            raise StageInputError(
+                f"input artifact {workdir / name} is stale: it was not written by "
+                f"stage {writer!r} under this config and inputs; rerun {writer!r} "
+                f"and the stages after it")
 
 
 def _is_cached(stage: str, workdir: Path, meta: str) -> bool:
@@ -165,6 +189,7 @@ def run_stage(stage: str, config: PipelineConfig, workdir, loaded=None) -> str:
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     _check_inputs(stage, workdir)
+    _check_current(stage, config, workdir, {})
     meta = f"key={stage_key(stage, config, workdir)} seed={config['seed']}"
     if _is_cached(stage, workdir, meta):
         return "cached"
@@ -227,9 +252,7 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
 
 def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggregates):
     """Per-day (standard, delayed) StreamData for the training split."""
-    records = list(dataset.iter_records())
-    first_row = dict(zip((s.session_id for s in dataset.sessions),
-                         accumulate((len(s) for s in dataset.sessions), initial=0)))
+    feats = predictor.encode_features(list(dataset.iter_records()), spec)
     train_days, _ = _split_days(dataset, int(config["train.test_days"]))
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
@@ -240,35 +263,30 @@ def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggre
     rng = np.random.default_rng(np.random.SeedSequence((int(config["seed"]), 0x50b)))
 
     days = []
-    hc = predictor.HashConfig()
     for t in train_days:
         with warnings.catch_warnings():
             # early days legitimately have no matured delayed stream
             warnings.simplefilter("ignore", UserWarning)
             plan = author_ltv.plan_dual_stream(dataset, t, N=N, alpha=alpha,
                                                aggregates=aggregates)
-        rows = np.array([first_row[sid] + i for sid, i in plan.standard], dtype=np.int64)
+        rows = plan.standard
         if keep < 1.0:
             rows = rows[rng.random(len(rows)) < keep]
         if not len(rows):
             continue
-        std = predictor.StreamData(
-            features=predictor.encode_features([records[i] for i in rows], spec, hc),
-            labels={head: labels[head][rows] for head in LABEL_COLUMNS})
+        std = predictor.StreamData(features=feats[rows],
+                                   labels={head: labels[head][rows] for head in LABEL_COLUMNS})
         delayed = None
-        if plan.delayed:
+        if len(plan.delayed):
             # delayed labels mature within the training split only if their
             # window ends on a training day
-            drows = np.array([first_row[sid] + i for sid, i, _ in plan.delayed],
-                             dtype=np.int64)
-            author = np.array([y for _, _, y in plan.delayed])
+            drows, author = plan.delayed, plan.author_labels
             if keep < 1.0:
                 mask = rng.random(len(drows)) < keep
                 drows, author = drows[mask], author[mask]
             if len(drows):
-                delayed = predictor.StreamData(
-                    features=predictor.encode_features([records[i] for i in drows], spec, hc),
-                    labels={"author": author})
+                delayed = predictor.StreamData(features=feats[drows],
+                                               labels={"author": author})
         days.append((std, delayed))
     if not days:
         raise ValueError("training split is empty")
@@ -306,10 +324,9 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xe7a1)))
         rows = rows[np.sort(rng.choice(len(rows), size=max_n, replace=False))]
     records = list(dataset.iter_records())
-    recs = [records[i] for i in rows]
-    feats = predictor.encode_features(recs, spec, params.hash_config)
-    preds = predictor.predict(params, feats)
-    groups = spec.group_array(np.array([r.page_index for r in recs], dtype=np.int64))
+    feats = predictor.encode_features(records, spec)
+    preds = predictor.predict(params, feats[rows])
+    groups = spec.group_array(np.array([records[i].page_index for i in rows], dtype=np.int64))
 
     report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
                                    model_id=artifacts.meta_key(workdir / "params.txt"),
@@ -319,22 +336,16 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
             g = groups if head in ("pdq", "slide") else None
             report.add_head(head, preds[head], labels[head][rows], groups=g)
 
-    # the author head needs matured labels: evaluate on the latest day whose
-    # N-day window is fully observed
+    # the author head needs matured labels: evaluate on the delayed stream of
+    # the last day, whose anchor day's N-day window is fully observed
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
     max_day = max(s.day for s in dataset.sessions)
-    anchor = max_day - N
-    if "author" in preds and anchor >= 0:
-        arecs = [r for s in dataset.sessions if s.day == anchor for r in s.records]
-        if arecs:
-            afeats = predictor.encode_features(arecs, spec, params.hash_config)
-            apreds = predictor.predict(params, afeats, heads=("author",))
-            alabels = np.array([
-                author_ltv.author_ltv_label(aggregates, r.user_id, r.author_id,
-                                            t=anchor + N, N=N, alpha=alpha)
-                for r in arecs])
-            report.add_head("author", apreds["author"], alabels)
+    if "author" in preds and max_day >= N:
+        plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates)
+        if len(plan.delayed):
+            apreds = predictor.predict(params, feats[plan.delayed], heads=("author",))
+            report.add_head("author", apreds["author"], plan.author_labels)
 
     cohort = {s.user_id for s in dataset.sessions if s.day == 0}
     for n in config.lt_windows():
@@ -348,7 +359,7 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
 def make_scorer(params, spec):
     """Session scorer for replay: session -> per-record head predictions."""
     def scorer(session):
-        feats = predictor.encode_features(session.records, spec, params.hash_config)
+        feats = predictor.encode_features(session.records, spec)
         return predictor.predict(params, feats)
     return scorer
 

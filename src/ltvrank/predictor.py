@@ -31,26 +31,19 @@ HEAD_SPECS: dict[str, tuple[str, str]] = {
 
 _HASH_MULT = 2654435761  # Knuth multiplicative hashing
 
+#: field -> hashed vocabulary size; each embedding table has one more row,
+#: reserved and never hashed to
+VOCAB = {"user": 4096, "video": 8192, "author": 1024, "category": 256, "page_group": 16}
+
+#: the ``V`` record of ``params.txt``
+_VOCAB_FIELD = ",".join(f"{f}:{VOCAB[f]}" for f in FEATURE_FIELDS)
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, head: str, epoch: int):
         super().__init__(f"non-finite loss on head {head!r} at epoch {epoch}")
         self.head = head
         self.epoch = epoch
-
-
-@dataclass
-class HashConfig:
-    vocab: dict[str, int] = field(default_factory=lambda: {
-        "user": 4096, "video": 8192, "author": 1024, "category": 256,
-        "page_group": 16,
-    })
-
-    def encode(self, field_name: str, raw_id) -> int:
-        v = self.vocab[field_name]
-        if raw_id is None:
-            return v  # reserved bucket
-        return int((int(raw_id) * _HASH_MULT) % v)
 
 
 @dataclass
@@ -86,24 +79,20 @@ class TrainConfig:
 class PredictorParams:
     """All weights, addressable by name for serialization and grad checks."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], heads: tuple[str, ...],
-                 hash_config: HashConfig):
+    def __init__(self, arrays: dict[str, np.ndarray], heads: tuple[str, ...]):
         self.arrays = arrays
         self.heads = heads
-        self.hash_config = hash_config
 
     @classmethod
-    def init(cls, config: TrainConfig, heads=None,
-             hash_config: HashConfig | None = None) -> "PredictorParams":
+    def init(cls, config: TrainConfig, heads=None) -> "PredictorParams":
         heads = tuple(heads) if heads is not None else tuple(HEAD_SPECS)
-        hc = hash_config or HashConfig()
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         d = config.embedding_dim
         h1, h2 = config.hidden_sizes
         ht = config.tower_size
         arrays: dict[str, np.ndarray] = {}
         for f in FEATURE_FIELDS:
-            arrays[f"emb/{f}"] = rng.normal(0.0, 0.1, size=(hc.vocab[f] + 1, d))
+            arrays[f"emb/{f}"] = rng.normal(0.0, 0.1, size=(VOCAB[f] + 1, d))
         din = d * len(FEATURE_FIELDS)
         arrays["backbone/W1"] = rng.normal(0.0, np.sqrt(2.0 / din), size=(din, h1))
         arrays["backbone/b1"] = np.zeros(h1)
@@ -114,21 +103,18 @@ class PredictorParams:
             arrays[f"tower/{head}/b"] = np.zeros(ht)
             arrays[f"tower/{head}/wo"] = rng.normal(0.0, np.sqrt(1.0 / ht), size=ht)
             arrays[f"tower/{head}/bo"] = np.zeros(1)
-        return cls(arrays, heads, hc)
+        return cls(arrays, heads)
 
 
-def encode_features(impressions, page_group_spec, hash_config: HashConfig | None = None) -> np.ndarray:
-    """Hash (user, video, author, category, page group) ids to index rows."""
-    hc = hash_config or HashConfig()
-    out = np.empty((len(impressions), len(FEATURE_FIELDS)), dtype=np.int64)
-    for row, r in enumerate(impressions):
-        group = page_group_spec.group_of(r.page_index) if page_group_spec is not None else 0
-        out[row, 0] = hc.encode("user", r.user_id)
-        out[row, 1] = hc.encode("video", r.video_id)
-        out[row, 2] = hc.encode("author", r.author_id)
-        out[row, 3] = hc.encode("category", r.category_id)
-        out[row, 4] = hc.encode("page_group", group)
-    return out
+def encode_features(impressions, page_group_spec) -> np.ndarray:
+    """Hash (user, video, author, category, page group) ids to index rows;
+    a ``None`` spec puts every impression in page group 0."""
+    ids = np.array([(r.user_id, r.video_id, r.author_id, r.category_id, r.page_index)
+                    for r in impressions], dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
+    ids[:, 4] = page_group_spec.group_array(ids[:, 4]) if page_group_spec is not None else 0
+    v = np.array([VOCAB[f] for f in FEATURE_FIELDS], dtype=np.int64)
+    # reducing both factors first keeps the product far below 2**63
+    return (ids % v) * (_HASH_MULT % v) % v
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +310,7 @@ class StreamData:
 
 
 def train(days, config: TrainConfig, heads=None,
-          params: PredictorParams | None = None,
-          hash_config: HashConfig | None = None):
+          params: PredictorParams | None = None):
     """Alternating dual-stream training.
 
     ``days`` is an ordered list of (standard: StreamData, delayed:
@@ -342,7 +327,7 @@ def train(days, config: TrainConfig, heads=None,
                       if any(h in std.labels for std, _ in days)
                       or (h == "author" and any(d is not None for _, d in days)))
     if params is None:
-        params = PredictorParams.init(config, heads=heads, hash_config=hash_config)
+        params = PredictorParams.init(config, heads=heads)
     opt = AdaptiveAccumulator(params, config.learning_rate, config.accumulator_decay)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x7261)))
     standard_heads = tuple(h for h in heads if h != "author")
@@ -440,7 +425,7 @@ def gradient_check(params: PredictorParams, head: str, loss_name: str,
 def save_params(path, params: PredictorParams, meta: str | None = None) -> None:
     def lines():
         yield "H\t" + ",".join(params.heads)
-        yield "V\t" + ",".join(f"{f}:{params.hash_config.vocab[f]}" for f in FEATURE_FIELDS)
+        yield "V\t" + _VOCAB_FIELD
         for name in sorted(params.arrays):
             arr = params.arrays[name]
             shape = ",".join(str(s) for s in arr.shape)
@@ -453,17 +438,14 @@ def save_params(path, params: PredictorParams, meta: str | None = None) -> None:
 def load_params(path) -> PredictorParams:
     arrays: dict[str, np.ndarray] = {}
     heads: tuple[str, ...] = ()
-    hc = HashConfig()
 
     def parse(parts: list[str]) -> None:
-        nonlocal heads, hc
+        nonlocal heads
         if parts[0] == "H":
             heads = tuple(parts[1].split(","))
         elif parts[0] == "V":
-            hc = HashConfig(vocab={})
-            for item in parts[1].split(","):
-                f, v = item.split(":")
-                hc.vocab[f] = int(v)
+            if parts[1] != _VOCAB_FIELD:
+                raise ValueError(f"vocabulary {parts[1]!r} is not {_VOCAB_FIELD!r}")
         elif parts[0] == "P":
             shape = tuple(int(s) for s in parts[2].split(","))
             values = np.array(parts[3].split(","), dtype=np.float64)
@@ -472,4 +454,4 @@ def load_params(path) -> PredictorParams:
             raise ValueError(f"unknown record tag {parts[0]!r}")
 
     artifacts.read(path, "params", parse)
-    return PredictorParams(arrays, heads, hc)
+    return PredictorParams(arrays, heads)

@@ -39,7 +39,7 @@ from ltvrank.pdq import (
 from ltvrank.pipeline import STAGES, make_scorer, run_stages
 from ltvrank.predictor import (
     FEATURE_FIELDS,
-    HashConfig,
+    VOCAB,
     PredictorParams,
     StreamData,
     TrainConfig,
@@ -203,7 +203,7 @@ def test_criterion_05_attribution_correlates_with_planted_cause(corpora):
 
 
 def test_criterion_06_hybrid_loss_improves_calibration():
-    vocab = tuple(HashConfig().vocab[f] for f in FEATURE_FIELDS)
+    vocab = tuple(VOCAB[f] for f in FEATURE_FIELDS)
     wins = 0
     for seed in range(1000, 1000 + N_SEEDS):
         rng = np.random.default_rng(seed)
@@ -266,12 +266,12 @@ def test_criterion_08_dual_stream_hygiene(corpora):
     max_day = max(s.day for s in ds.sessions)
     for t in range(N, max_day + 1):
         plan = plan_dual_stream(ds, t, N=N, aggregates=agg)
-        assert plan.delayed
+        assert len(plan.delayed)
         assert audit_no_leakage(plan, ds, N=N, alpha=0.8) == []
 
     # author-only steps must not touch the shared trunk
     rng = np.random.default_rng(8)
-    feats = np.column_stack([rng.integers(0, HashConfig().vocab[f] + 1, size=256)
+    feats = np.column_stack([rng.integers(0, VOCAB[f] + 1, size=256)
                              for f in FEATURE_FIELDS]).astype(np.int64)
     cfg = TrainConfig(epochs=2, seed=8)
     init = PredictorParams.init(cfg, heads=("author",))
@@ -291,7 +291,7 @@ def test_criterion_08_dual_stream_hygiene(corpora):
 def test_criterion_09_gradient_checks(head, loss):
     rng = np.random.default_rng(9)
     params = PredictorParams.init(TrainConfig(seed=9), heads=(head,))
-    feats = np.column_stack([rng.integers(0, HashConfig().vocab[f] + 1, size=48)
+    feats = np.column_stack([rng.integers(0, VOCAB[f] + 1, size=48)
                              for f in FEATURE_FIELDS]).astype(np.int64)
     labels = rng.gamma(1.0, 5.0, size=48)
     err = gradient_check(params, head, loss, feats, labels,

@@ -66,3 +66,18 @@ def test_params_rejects_non_numeric_value(artifact_dir, tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         predictor.load_params(path)
     assert f"{path}:{line_no}:" in str(exc.value)
+
+
+def test_params_rejects_other_vocabulary(artifact_dir, tmp_path):
+    """Features are hashed into ``VOCAB``, so a ``V`` record naming any
+    other vocabulary fails with its line instead of being adopted."""
+    lines = (artifact_dir / "params.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("V\t"))
+    assert lines[line_no - 1] == "V\t" + ",".join(
+        f"{f}:{predictor.VOCAB[f]}" for f in predictor.FEATURE_FIELDS) + "\n"
+    lines[line_no - 1] = lines[line_no - 1].replace("user:4096", "user:2048")
+    path = tmp_path / "params.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        predictor.load_params(path)
+    assert f"{path}:{line_no}:" in str(exc.value) and "user:2048" in str(exc.value)

@@ -13,6 +13,13 @@ from ltvrank.author_ltv import (
 from conftest import as_dataset, make_session
 
 
+def row_sessions(dataset):
+    """(session, record) of every row, in dataset order."""
+    for sess in dataset.sessions:
+        for r in sess.records:
+            yield sess, r
+
+
 def sessions_for(user, day, watch_by_author, session_id):
     """One session where record i has author watch_by_author[i][0]."""
     authors = [a for a, _ in watch_by_author]
@@ -127,30 +134,28 @@ class TestDualStream:
     def test_boundary_t_equals_n(self):
         ds = self.build_dataset()
         plan = plan_dual_stream(ds, t=7, N=7)
-        delayed_days = {ds.sessions[0].day}  # all delayed keys come from day 0
-        by_sid = {s.session_id: s for s in ds.sessions}
-        assert plan.delayed
-        for sid, idx, label in plan.delayed:
-            assert by_sid[sid].day == 0
+        rows = list(row_sessions(ds))
+        assert len(plan.delayed)
+        for row in plan.delayed:
+            assert rows[row][0].day == 0  # all delayed rows come from day 0
         assert audit_no_leakage(plan, ds, N=7, alpha=0.8) == []
 
     def test_t_below_n_warns_empty(self):
         ds = self.build_dataset()
         with pytest.warns(UserWarning, match="delayed stream is empty"):
             plan = plan_dual_stream(ds, t=3, N=7)
-        assert plan.delayed == []
-        assert [k for k in plan.standard] != []
+        assert len(plan.delayed) == 0 and len(plan.author_labels) == 0
+        assert len(plan.standard)
 
     def test_ten_day_n7_t9_anchors_day2(self):
         ds = self.build_dataset(n_days=10)
         agg = aggregate_author_days(ds)
         plan = plan_dual_stream(ds, t=9, N=7)
-        by_sid = {s.session_id: s for s in ds.sessions}
-        assert plan.delayed
-        for sid, idx, label in plan.delayed:
-            sess = by_sid[sid]
+        rows = list(row_sessions(ds))
+        assert len(plan.delayed)
+        for row, label in zip(plan.delayed, plan.author_labels, strict=True):
+            sess, r = rows[row]
             assert sess.day == 2
-            r = sess.records[idx]
             assert label == author_ltv_label(agg, r.user_id, r.author_id,
                                              t=9, N=7, alpha=0.8)
         assert audit_no_leakage(plan, ds, N=7, alpha=0.8) == []
@@ -162,8 +167,7 @@ class TestDualStream:
     def test_audit_flags_tampered_label(self):
         ds = self.build_dataset()
         plan = plan_dual_stream(ds, t=9, N=7)
-        sid, idx, label = plan.delayed[0]
-        plan.delayed[0] = (sid, idx, label + 1.0)
+        plan.author_labels[0] += 1.0
         violations = audit_no_leakage(plan, ds, N=7, alpha=0.8)
         assert len(violations) == 1 and "!=" in violations[0]
 
@@ -174,6 +178,25 @@ class TestDualStream:
         violations = audit_no_leakage(plan, ds, N=7, alpha=0.8)
         assert violations
         assert any("window ends day 9 > training day 8" in v for v in violations)
+
+    def test_plan_rows_are_day_rows_in_dataset_order(self, small_corpus):
+        """``standard`` holds every day-t row and ``delayed`` every
+        day-(t-N) row, as ascending int64 positions in dataset order, and
+        each delayed row's label is its ``author_ltv_label`` at day t."""
+        ds, _ = small_corpus
+        agg = aggregate_author_days(ds)
+        rows = list(row_sessions(ds))
+        max_day = max(s.day for s in ds.sessions)
+        for t in range(4, max_day + 1):
+            plan = plan_dual_stream(ds, t, N=4, alpha=0.7, aggregates=agg)
+            assert plan.standard.dtype == plan.delayed.dtype == np.int64
+            assert plan.author_labels.dtype == np.float64
+            assert list(plan.standard) == [i for i, (s, _) in enumerate(rows) if s.day == t]
+            assert list(plan.delayed) == [i for i, (s, _) in enumerate(rows) if s.day == t - 4]
+            assert len(plan.delayed)
+            expect = [author_ltv_label(agg, rows[i][1].user_id, rows[i][1].author_id,
+                                       t=t, N=4, alpha=0.7) for i in plan.delayed]
+            assert list(plan.author_labels) == expect
 
     def test_all_plans_leak_free_on_generated_corpus(self, small_corpus):
         ds, _ = small_corpus

@@ -245,6 +245,31 @@ class TestScopedCache:
                        for stage in STAGES]
         assert _artifact_bytes(work) == _artifact_bytes(cold)
 
+    def test_stale_input_exit_one(self, cold, tmp_path, capsys):
+        """A single stage refuses an input built under another config,
+        here ``params.txt`` trained at the default learning rate."""
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        before = _artifact_bytes(work)
+        capsys.readouterr()
+        assert run("eval", work, "--set", "train.learning_rate=0.03") == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(work / "params.txt") in err
+        assert "'train'" in err
+        # report does not read params.txt, but metrics_summary.txt was built
+        # from it, so the check follows the inputs upstream
+        assert run("report", work, "--set", "train.learning_rate=0.03") == 1
+        err = capsys.readouterr().err
+        assert str(work / "params.txt") in err and "'train'" in err
+        assert _artifact_bytes(work) == before
+
+    def test_stage_after_current_inputs_runs(self, cold, tmp_path, capsys):
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        capsys.readouterr()
+        assert run("replay", work, "--set", "fusion.w_author=2.0") == 0
+        assert capsys.readouterr().out.splitlines() == ["ltvrank replay: ok"]
+
 
 def test_cli_import_leaves_numpy_unloaded():
     """``--threads`` must reach the environment before numpy starts its

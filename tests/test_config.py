@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
+import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -232,3 +235,18 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"ltvrank.{module_name}")
         for fn_name in functions:
             assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+
+def test_tracer_counts_work_of_a_traced_run(tmp_path):
+    """``perfbench/tracer.py`` runs the pipeline with its wrappers in place
+    and counts the rows each encode call received, so a change to the shape
+    of a traced function's arguments shows up here."""
+    root = Path(__file__).resolve().parent.parent
+    sets = [arg for k, v in TINY.items() for arg in ("--set", f"{k}={v}")]
+    out = tmp_path / "trace"
+    subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), "--out", str(out),
+                    "--", "all", "--workdir", str(tmp_path / "work"), *sets],
+                   check=True, capture_output=True, text=True, timeout=300)
+    totals = json.loads((out / "trace.json").read_text())["totals"]
+    assert totals["predictor.encode_features"]["work"] > 0
+    assert totals["author_ltv.plan_dual_stream"]["calls"] > 0

@@ -54,6 +54,13 @@ class TestPageGroups:
         for p, g in zip(pages[:200], grouped[:200]):
             assert spec.group_of(int(p)) == g
 
+    def test_group_array_rejects_negative_page_like_group_of(self):
+        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
+        with pytest.raises(ValueError, match="page_index must be >= 0"):
+            spec.group_of(-2)
+        with pytest.raises(ValueError, match="page_index must be >= 0"):
+            spec.group_array(np.array([0, 5, -2], dtype=np.int64))
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             PageGroupSpec(ranges=((0, 3), (4, None)))  # gap at 3

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ltvrank.pdq import PageGroupSpec, TABLE4_BOUNDARIES
 from ltvrank.predictor import (
     FEATURE_FIELDS,
-    HashConfig,
+    VOCAB,
     PredictorParams,
     StreamData,
     TrainConfig,
@@ -21,13 +23,22 @@ from ltvrank.predictor import (
     tweedie_loss,
 )
 
-from conftest import make_session
+from conftest import make_session, random_session
 
 
-def random_features(rng, n, hc=None):
-    hc = hc or HashConfig()
-    cols = [rng.integers(0, hc.vocab[f] + 1, size=n) for f in FEATURE_FIELDS]
+def random_features(rng, n):
+    cols = [rng.integers(0, VOCAB[f] + 1, size=n) for f in FEATURE_FIELDS]
     return np.column_stack(cols).astype(np.int64)
+
+
+def encode_oracle(records, spec):
+    """Per-record ``encode_features``: ``group_of`` and Python-int hashing."""
+    rows = []
+    for r in records:
+        group = spec.group_of(r.page_index) if spec is not None else 0
+        ids = (r.user_id, r.video_id, r.author_id, r.category_id, group)
+        rows.append([(int(i) * 2654435761) % VOCAB[f] for i, f in zip(ids, FEATURE_FIELDS)])
+    return np.array(rows, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
 
 
 class TestEncodeFeatures:
@@ -39,17 +50,39 @@ class TestEncodeFeatures:
         assert f1.shape == (6, 5)
         np.testing.assert_array_equal(f1, f2)
 
-    def test_missing_id_uses_reserved_bucket(self):
-        hc = HashConfig()
-        assert hc.encode("category", None) == hc.vocab["category"]
-
     def test_indices_within_vocab(self):
         sess = make_session([1.0] * 8)
         spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
         feats = encode_features(sess.records, spec)
-        hc = HashConfig()
         for i, f in enumerate(FEATURE_FIELDS):
-            assert feats[:, i].max() <= hc.vocab[f]
+            assert feats[:, i].max() <= VOCAB[f]
+
+    @pytest.mark.parametrize("spec", [PageGroupSpec(ranges=TABLE4_BOUNDARIES), None],
+                             ids=["table4", "no-spec"])
+    def test_matches_per_record_oracle(self, spec):
+        rng = np.random.default_rng(5)
+        records = [r for k in range(20)
+                   for r in random_session(rng, int(rng.integers(1, 30)), session_id=k,
+                                           user_id=int(rng.integers(0, 10**6))).records]
+        np.testing.assert_array_equal(encode_features(records, spec),
+                                      encode_oracle(records, spec))
+
+    def test_ids_above_2_32_hash_exactly(self):
+        big = [2**32 + 7, 2**40 + 3, 2**62 + 11, 2**63 - 1]
+        sess = make_session([1.0] * 4, user_id=big[3], videos=big, authors=big[::-1],
+                            cats=[2**33, 2**34 + 1, 2**35 + 2, 2**36 + 3])
+        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
+        np.testing.assert_array_equal(encode_features(sess.records, spec),
+                                      encode_oracle(sess.records, spec))
+
+    def test_empty_input_has_five_columns(self):
+        assert encode_features([], None).shape == (0, 5)
+
+    def test_negative_page_rejected(self):
+        sess = make_session([1.0] * 3)
+        bad = sess.records[:2] + (dataclasses.replace(sess.records[2], page_index=-1),)
+        with pytest.raises(ValueError, match="page_index must be >= 0"):
+            encode_features(bad, PageGroupSpec(ranges=TABLE4_BOUNDARIES))
 
 
 class TestForward:
@@ -236,7 +269,6 @@ class TestPersistence:
         save_params(path, params, meta="config=x seed=9")
         back = load_params(path)
         assert back.heads == params.heads
-        assert back.hash_config.vocab == params.hash_config.vocab
         assert sorted(back.arrays) == sorted(params.arrays)
         for k in params.arrays:
             np.testing.assert_array_equal(params.arrays[k], back.arrays[k])
