@@ -323,10 +323,11 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     if len(rows) > max_n:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xe7a1)))
         rows = rows[np.sort(rng.choice(len(rows), size=max_n, replace=False))]
+    # encode only the rows predicted: the test rows here, the author rows below
     records = list(dataset.iter_records())
-    feats = predictor.encode_features(records, spec)
-    preds = predictor.predict(params, feats[rows])
-    groups = spec.group_array(np.array([records[i].page_index for i in rows], dtype=np.int64))
+    test_records = [records[i] for i in rows]
+    preds = predictor.predict(params, predictor.encode_features(test_records, spec))
+    groups = spec.group_array(np.array([r.page_index for r in test_records], dtype=np.int64))
 
     report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
                                    model_id=artifacts.meta_key(workdir / "params.txt"),
@@ -344,7 +345,8 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     if "author" in preds and max_day >= N:
         plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates)
         if len(plan.delayed):
-            apreds = predictor.predict(params, feats[plan.delayed], heads=("author",))
+            feats = predictor.encode_features([records[i] for i in plan.delayed], spec)
+            apreds = predictor.predict(params, feats, heads=("author",))
             report.add_head("author", apreds["author"], plan.author_labels)
 
     cohort = {s.user_id for s in dataset.sessions if s.day == 0}

@@ -6,6 +6,13 @@ author value, watch time, completion, interaction. Positive-target heads
 use an exponential output transform so the Tweedie loss is well defined.
 Author-head steps never touch shared parameters (stop gradient): an
 author-only update leaves embeddings and backbone bitwise unchanged.
+
+The embedding tables are row-sparse wherever a batch or the artifact
+touches them: ``backward`` returns each table's gradient as the rows that
+the batch's ids hash to and their summed gradients, the optimizer updates
+only those rows (after decaying the whole accumulator), and ``params.txt``
+stores only the rows that differ from the seeded initial draw, which the
+loader redraws from the recorded seed.
 """
 
 from __future__ import annotations
@@ -40,10 +47,15 @@ _VOCAB_FIELD = ",".join(f"{f}:{VOCAB[f]}" for f in FEATURE_FIELDS)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, head: str, epoch: int):
-        super().__init__(f"non-finite loss on head {head!r} at epoch {epoch}")
+    """A head's batch loss went non-finite; ``step`` is the index of the
+    optimizer step that computed it."""
+
+    def __init__(self, head: str, epoch: int, step: int):
+        super().__init__(f"non-finite loss on head {head!r} at epoch {epoch}, "
+                         f"optimizer step {step}")
         self.head = head
         self.epoch = epoch
+        self.step = step
 
 
 @dataclass
@@ -77,33 +89,49 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 class PredictorParams:
-    """All weights, addressable by name for serialization and grad checks."""
+    """All weights, addressable by name for serialization and grad checks.
+    ``seed`` is the seed of the initial draw, from which ``load_params``
+    redraws the embedding rows that ``params.txt`` leaves out."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], heads: tuple[str, ...]):
+    def __init__(self, arrays: dict[str, np.ndarray], heads: tuple[str, ...], seed: int):
         self.arrays = arrays
         self.heads = heads
+        self.seed = seed
 
     @classmethod
     def init(cls, config: TrainConfig, heads=None) -> "PredictorParams":
         heads = tuple(heads) if heads is not None else tuple(HEAD_SPECS)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        d = config.embedding_dim
-        h1, h2 = config.hidden_sizes
-        ht = config.tower_size
-        arrays: dict[str, np.ndarray] = {}
-        for f in FEATURE_FIELDS:
-            arrays[f"emb/{f}"] = rng.normal(0.0, 0.1, size=(VOCAB[f] + 1, d))
-        din = d * len(FEATURE_FIELDS)
-        arrays["backbone/W1"] = rng.normal(0.0, np.sqrt(2.0 / din), size=(din, h1))
-        arrays["backbone/b1"] = np.zeros(h1)
-        arrays["backbone/W2"] = rng.normal(0.0, np.sqrt(2.0 / h1), size=(h1, h2))
-        arrays["backbone/b2"] = np.zeros(h2)
-        for head in heads:
-            arrays[f"tower/{head}/W"] = rng.normal(0.0, np.sqrt(2.0 / h2), size=(h2, ht))
-            arrays[f"tower/{head}/b"] = np.zeros(ht)
-            arrays[f"tower/{head}/wo"] = rng.normal(0.0, np.sqrt(1.0 / ht), size=ht)
-            arrays[f"tower/{head}/bo"] = np.zeros(1)
-        return cls(arrays, heads)
+        rng = _init_rng(config.seed)
+        arrays = _init_embeddings(rng, config.embedding_dim)
+        for name, shape, std in _layout(config.embedding_dim, *config.hidden_sizes,
+                                        config.tower_size, heads):
+            arrays[name] = (np.zeros(shape) if std is None
+                            else rng.normal(0.0, std, size=shape))
+        return cls(arrays, heads, config.seed)
+
+
+def _init_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _init_embeddings(rng: np.random.Generator, d: int) -> dict[str, np.ndarray]:
+    """The initial embedding tables: the first draws of ``PredictorParams.init``."""
+    return {f"emb/{f}": rng.normal(0.0, 0.1, size=(VOCAB[f] + 1, d)) for f in FEATURE_FIELDS}
+
+
+def _layout(d: int, h1: int, h2: int, ht: int, heads):
+    """(name, shape, init std) of every array but the embeddings, in draw
+    order; a std of None means zeros, which draw nothing."""
+    din = d * len(FEATURE_FIELDS)
+    yield "backbone/W1", (din, h1), np.sqrt(2.0 / din)
+    yield "backbone/b1", (h1,), None
+    yield "backbone/W2", (h1, h2), np.sqrt(2.0 / h1)
+    yield "backbone/b2", (h2,), None
+    for head in heads:
+        yield f"tower/{head}/W", (h2, ht), np.sqrt(2.0 / h2)
+        yield f"tower/{head}/b", (ht,), None
+        yield f"tower/{head}/wo", (ht,), np.sqrt(1.0 / ht)
+        yield f"tower/{head}/bo", (1,), None
 
 
 def encode_features(impressions, page_group_spec) -> np.ndarray:
@@ -237,11 +265,15 @@ def _loss_grad(name: str, pred: np.ndarray, label: np.ndarray, lam: float,
 
 
 def backward(params: PredictorParams, cache, head_grads: dict[str, np.ndarray],
-             shared: bool = True) -> dict[str, np.ndarray]:
+             shared: bool = True) -> dict:
     """Gradients of the summed per-head losses w.r.t. parameters.
 
     ``head_grads`` maps head -> dLoss/dPrediction. With ``shared=False``
-    only tower gradients are produced (stop-gradient step).
+    only tower gradients are produced (stop-gradient step). Backbone and
+    tower gradients are dense arrays; an embedding table's gradient is
+    ``(rows, values)``: the sorted distinct rows the batch's ids hash to,
+    and each row's gradient, summed in batch order. Every other row's
+    gradient is zero.
     """
     a = params.arrays
     features, x, z1, h1, z2, h2, head_cache = cache
@@ -268,11 +300,12 @@ def backward(params: PredictorParams, cache, head_grads: dict[str, np.ndarray],
     grads["backbone/W1"] = x.T @ dz1
     grads["backbone/b1"] = dz1.sum(axis=0)
     dx = dz1 @ a["backbone/W1"].T
-    d = params.arrays["emb/user"].shape[1]
+    d = a["emb/user"].shape[1]
     for i, f in enumerate(FEATURE_FIELDS):
-        g = np.zeros_like(a[f"emb/{f}"])
-        np.add.at(g, features[:, i], dx[:, i * d:(i + 1) * d])
-        grads[f"emb/{f}"] = g
+        rows, inverse = np.unique(features[:, i], return_inverse=True)
+        values = np.zeros((len(rows), d))
+        np.add.at(values, inverse, dx[:, i * d:(i + 1) * d])
+        grads[f"emb/{f}"] = (rows, values)
     return grads
 
 
@@ -281,7 +314,8 @@ def backward(params: PredictorParams, cache, head_grads: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 
 class AdaptiveAccumulator:
-    """Per-parameter squared-gradient accumulation with decay."""
+    """Per-parameter squared-gradient accumulation with decay. ``steps``
+    counts the steps taken."""
 
     def __init__(self, params: PredictorParams, lr: float, decay: float,
                  eps: float = 1e-8):
@@ -289,13 +323,20 @@ class AdaptiveAccumulator:
         self.decay = decay
         self.eps = eps
         self.acc = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        self.steps = 0
 
-    def step(self, params: PredictorParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: PredictorParams, grads: dict) -> None:
+        """Apply ``backward``'s gradients. Every accumulator decays; only the
+        rows of a row-sparse gradient are updated, which is bitwise the dense
+        update, since a zero gradient leaves both accumulator and parameter
+        unchanged."""
         for name, g in grads.items():
+            rows, g = g if isinstance(g, tuple) else (..., g)
             acc = self.acc[name]
             acc *= self.decay
-            acc += g * g
-            params.arrays[name] -= self.lr * g / (np.sqrt(acc) + self.eps)
+            acc[rows] += g * g
+            params.arrays[name][rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
+        self.steps += 1
 
 
 @dataclass
@@ -376,7 +417,7 @@ def _train_step(params, opt, data: StreamData, idx, heads, config: TrainConfig,
         name = config.loss_for(h)
         value = loss_value(name, preds[h], y, config.lam, config.rho)
         if not np.isfinite(value):
-            raise TrainingDiverged(h, epoch)
+            raise TrainingDiverged(h, epoch, opt.steps)
         sums[h] += value
         counts[h] += 1
         head_grads[h] = _loss_grad(name, preds[h], y, config.lam, config.rho)
@@ -412,10 +453,21 @@ def gradient_check(params: PredictorParams, head: str, loss_name: str,
         lminus = loss_value(loss_name, dn[head], labels, lam, rho)
         params.arrays[name].flat[flat_idx] = orig
         numeric = (lplus - lminus) / (2 * step)
-        analytic = grads[name].flat[flat_idx]
+        analytic = _grad_at(grads[name], params.arrays[name].shape, flat_idx)
         denom = max(abs(numeric), abs(analytic), 1e-8)
         max_err = max(max_err, abs(numeric - analytic) / denom)
     return max_err
+
+
+def _grad_at(grad, shape, flat_idx: int) -> float:
+    """Coordinate ``flat_idx`` of a dense or ``(rows, values)`` gradient of
+    an array of ``shape``."""
+    if not isinstance(grad, tuple):
+        return grad.flat[flat_idx]
+    rows, values = grad
+    row, col = np.unravel_index(flat_idx, shape)
+    k = np.searchsorted(rows, row)
+    return values[k, col] if k < len(rows) and rows[k] == row else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -423,35 +475,121 @@ def gradient_check(params: PredictorParams, head: str, loss_name: str,
 # ---------------------------------------------------------------------------
 
 def save_params(path, params: PredictorParams, meta: str | None = None) -> None:
+    """Write ``H`` (heads), ``V`` (vocabulary) and ``I`` (init seed and
+    embedding dim) records, then one record per array in name order: ``E``
+    for an embedding table, holding only the rows whose bits differ from
+    the seeded initial draw, and ``P`` for every other array."""
+    d = params.arrays["emb/user"].shape[1]
+    init = _init_embeddings(_init_rng(params.seed), d)
+
     def lines():
         yield "H\t" + ",".join(params.heads)
         yield "V\t" + _VOCAB_FIELD
+        yield f"I\t{params.seed}\t{d}"
         for name in sorted(params.arrays):
             arr = params.arrays[name]
-            shape = ",".join(str(s) for s in arr.shape)
-            values = ",".join(map(repr, arr.ravel().tolist()))
-            yield f"P\t{name}\t{shape}\t{values}"
+            if name in init:
+                rows = np.flatnonzero(
+                    (arr.view(np.int64) != init[name].view(np.int64)).any(axis=1))
+                ids = ",".join(map(str, rows.tolist()))
+                values = ",".join(map(repr, arr[rows].ravel().tolist()))
+                yield f"E\t{name}\t{ids}\t{values}"
+            else:
+                shape = ",".join(str(s) for s in arr.shape)
+                values = ",".join(map(repr, arr.ravel().tolist()))
+                yield f"P\t{name}\t{shape}\t{values}"
 
     artifacts.write(path, "params", lines(), meta)
 
 
 def load_params(path) -> PredictorParams:
+    """Read ``save_params``'s records: redraw the initial embedding tables
+    from the ``I`` record and overlay each ``E`` record's rows. Raises
+    DatasetFormatError naming ``path:line`` on a malformed record, a missing
+    ``H``/``V``/``I`` record, or an array missing, unexpected or of another
+    shape than ``PredictorParams.init`` gives it."""
     arrays: dict[str, np.ndarray] = {}
-    heads: tuple[str, ...] = ()
+    records: dict[str, list[str]] = {}
+    init: dict[str, np.ndarray] = {}
 
     def parse(parts: list[str]) -> None:
-        nonlocal heads
-        if parts[0] == "H":
-            heads = tuple(parts[1].split(","))
-        elif parts[0] == "V":
+        tag = parts[0]
+        if tag in ("H", "V", "I"):
+            if tag in records:
+                raise ValueError(f"repeated {tag} record")
+            records[tag] = parts
+        elif tag not in ("E", "P"):
+            raise ValueError(f"unknown record tag {tag!r}")
+        elif parts[1] in arrays:
+            raise ValueError(f"repeated array {parts[1]!r}")
+        if tag == "H":
+            unknown = [h for h in parts[1].split(",") if h not in HEAD_SPECS]
+            if unknown:
+                raise ValueError(f"unknown heads {unknown}")
+        elif tag == "V":
             if parts[1] != _VOCAB_FIELD:
                 raise ValueError(f"vocabulary {parts[1]!r} is not {_VOCAB_FIELD!r}")
-        elif parts[0] == "P":
+        elif tag == "I":
+            seed, d = int(parts[1]), int(parts[2])
+            if d < 1:
+                raise ValueError(f"embedding dim must be >= 1, got {d}")
+            init.update(_init_embeddings(_init_rng(seed), d))
+        elif tag == "E":
+            if not init:
+                raise ValueError("embedding rows before the I record")
+            table = init.get(parts[1])
+            if table is None:
+                raise ValueError(f"unknown embedding table {parts[1]!r}")
+            rows = np.array(parts[2].split(",") if parts[2] else [], dtype=np.int64)
+            values = np.array(parts[3].split(",") if parts[3] else [], dtype=np.float64)
+            if len(rows) and (rows[0] < 0 or rows[-1] >= len(table)):
+                raise ValueError(f"row ids must lie in [0, {len(table)})")
+            if np.any(np.diff(rows) <= 0):
+                raise ValueError("row ids must be strictly increasing")
+            if len(values) != len(rows) * table.shape[1]:
+                raise ValueError(f"{len(values)} values for {len(rows)} rows of "
+                                 f"dim {table.shape[1]}")
+            table[rows] = values.reshape(len(rows), table.shape[1])
+            arrays[parts[1]] = table
+        else:
             shape = tuple(int(s) for s in parts[2].split(","))
             values = np.array(parts[3].split(","), dtype=np.float64)
             arrays[parts[1]] = values.reshape(shape)
-        else:
-            raise ValueError(f"unknown record tag {parts[0]!r}")
 
     artifacts.read(path, "params", parse)
-    return PredictorParams(arrays, heads)
+    for tag in ("H", "V", "I"):
+        if tag not in records:
+            raise artifacts.DatasetFormatError(path, _line_no(path), f"missing {tag} record")
+    heads = tuple(records["H"][1].split(","))
+    seed, d = int(records["I"][1]), int(records["I"][2])
+
+    def size(name: str) -> int:
+        # the sizes init was given, read off the biases; a missing or empty
+        # bias still gives _layout a nonzero size, and the checks below report it
+        return max(arrays[name].shape[-1], 1) if name in arrays else 1
+
+    expected = {name: table.shape for name, table in init.items()}
+    expected.update((name, shape) for name, shape, _ in _layout(
+        d, size("backbone/b1"), size("backbone/b2"),
+        size(f"tower/{heads[0]}/b"), heads))
+    for name in expected:
+        if name not in arrays:
+            raise artifacts.DatasetFormatError(path, _line_no(path), f"missing array {name!r}")
+    for name, arr in arrays.items():
+        if expected.get(name) != arr.shape:
+            found = "unexpected array" if name not in expected else (
+                f"shape {arr.shape} is not {expected[name]}")
+            raise artifacts.DatasetFormatError(path, _line_no(path, f"P\t{name}\t"),
+                                               f"{name!r}: {found}")
+    return PredictorParams(arrays, heads, seed)
+
+
+def _line_no(path, prefix: str | None = None) -> int:
+    """Number of the first line of ``path`` that starts with ``prefix``, or
+    of its last line if none does (or ``prefix`` is None)."""
+    n = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if prefix is not None and line.startswith(prefix):
+                break
+    return n

@@ -1,7 +1,10 @@
+import shutil
+
 import pytest
 
 from ltvrank import author_ltv, datamodel, pdq, predictor, synthgen
 from ltvrank.artifacts import DatasetFormatError
+from ltvrank.cli import main
 from ltvrank.config import load_config
 from ltvrank.pipeline import run_stages
 
@@ -81,3 +84,107 @@ def test_params_rejects_other_vocabulary(artifact_dir, tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         predictor.load_params(path)
     assert f"{path}:{line_no}:" in str(exc.value) and "user:2048" in str(exc.value)
+
+
+def _line_index(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _records_only_header(lines):
+    return lines[:2], 2, "missing H record"
+
+
+def _drop(prefixes, message):
+    """Drop every line that starts with one of ``prefixes``."""
+    def edit(lines):
+        bad = [line for line in lines if not line.startswith(prefixes)]
+        assert len(bad) < len(lines)
+        return bad, len(bad), message
+    return edit
+
+
+def _e_before_i(lines):
+    i, e = _line_index(lines, "I\t"), _line_index(lines, "E\t")
+    bad = lines[:i] + lines[i + 1:e] + [lines[e], lines[i]] + lines[e + 1:]
+    return bad, e, "before the I record"
+
+
+def _edit_rows(change, message):
+    """Apply ``change`` to the row ids of the ``emb/video`` record."""
+    def edit(lines):
+        i = _line_index(lines, "E\temb/video\t")
+        fields = lines[i].rstrip("\n").split("\t")
+        rows = fields[2].split(",")
+        change(rows)
+        bad = list(lines)
+        bad[i] = "\t".join(fields[:2] + [",".join(rows)] + fields[3:]) + "\n"
+        return bad, i + 1, message
+    return edit
+
+
+def _drop_value(lines):
+    i = _line_index(lines, "E\temb/user\t")
+    bad = list(lines)
+    bad[i] = lines[i].rstrip("\n").rsplit(",", 1)[0] + "\n"
+    return bad, i + 1, "values for"
+
+
+def _transposed_shape(lines):
+    i = _line_index(lines, "P\tbackbone/W1\t")
+    bad = list(lines)
+    bad[i] = lines[i].replace("\t80,64\t", "\t64,80\t")
+    return bad, i + 1, "is not (80, 64)"
+
+
+def _extra_array(lines):
+    return lines + ["P\ttower/extra/bo\t1\t0.0\n"], len(lines) + 1, "unexpected array"
+
+
+def _set(rows, i, value):
+    rows[i] = value
+
+
+PARAMS_DEFECTS = {
+    "header-only": _records_only_header,
+    "no-H": _drop("H\t", "missing H record"),
+    "no-V": _drop("V\t", "missing V record"),
+    # without its E records too, which would fail first as rows before I
+    "no-I": _drop(("I\t", "E\t"), "missing I record"),
+    "no-tower-array": _drop("P\ttower/slide/bo\t", "missing array 'tower/slide/bo'"),
+    "no-embedding-table": _drop("E\temb/author\t", "missing array 'emb/author'"),
+    "rows-before-I": _e_before_i,
+    "row-out-of-range": _edit_rows(lambda rows: _set(rows, -1, "8193"), "must lie in"),
+    "row-negative": _edit_rows(lambda rows: _set(rows, 0, "-1"), "must lie in"),
+    "rows-unsorted": _edit_rows(lambda rows: rows.insert(0, rows.pop(1)), "strictly increasing"),
+    "row-repeated": _edit_rows(lambda rows: _set(rows, 1, rows[0]), "strictly increasing"),
+    "value-count": _drop_value,
+    "wrong-shape": _transposed_shape,
+    "unexpected-array": _extra_array,
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PARAMS_DEFECTS))
+def test_params_rejects_incomplete_or_inconsistent_records(defect, artifact_dir, tmp_path):
+    """Each defect fails with ``path:line``: a missing record or array at
+    the file's last line, a bad record at its own line."""
+    lines = (artifact_dir / "params.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad, line_no, message = PARAMS_DEFECTS[defect](lines)
+    path = tmp_path / "params.txt"
+    path.write_text("".join(bad), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        predictor.load_params(path)
+    assert f"{path}:{line_no}:" in str(exc.value) and message in str(exc.value)
+
+
+def test_eval_exits_one_on_params_without_records(artifact_dir, tmp_path, capsys):
+    """A ``params.txt`` cut to its header and ``#meta`` line is a corrupt
+    artifact (exit 1), not a runtime error in ``predict``."""
+    for path in artifact_dir.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    params = tmp_path / "params.txt"
+    params.write_text("".join(params.read_text(encoding="utf-8")
+                              .splitlines(keepends=True)[:2]), encoding="utf-8")
+    sets = [arg for k, v in TINY.items() for arg in ("--set", f"{k}={v}")]
+    assert main(["eval", "--workdir", str(tmp_path), *sets]) == 1
+    err = capsys.readouterr().err
+    assert f"{params}:2: missing H record" in err

@@ -239,8 +239,9 @@ def test_traced_functions_exist():
 
 def test_tracer_counts_work_of_a_traced_run(tmp_path):
     """``perfbench/tracer.py`` runs the pipeline with its wrappers in place
-    and counts the rows each encode call received, so a change to the shape
-    of a traced function's arguments shows up here."""
+    and counts the rows each encode call received and the calls of
+    ``backward`` and ``save_params``, so a change to the shape of a traced
+    function's arguments shows up here."""
     root = Path(__file__).resolve().parent.parent
     sets = [arg for k, v in TINY.items() for arg in ("--set", f"{k}={v}")]
     out = tmp_path / "trace"
@@ -250,3 +251,5 @@ def test_tracer_counts_work_of_a_traced_run(tmp_path):
     totals = json.loads((out / "trace.json").read_text())["totals"]
     assert totals["predictor.encode_features"]["work"] > 0
     assert totals["author_ltv.plan_dual_stream"]["calls"] > 0
+    assert totals["predictor.backward"]["calls"] > 0
+    assert totals["predictor.save_params"]["calls"] == 1

@@ -6,11 +6,16 @@ import pytest
 from ltvrank.pdq import PageGroupSpec, TABLE4_BOUNDARIES
 from ltvrank.predictor import (
     FEATURE_FIELDS,
+    HEAD_SPECS,
     VOCAB,
+    AdaptiveAccumulator,
     PredictorParams,
     StreamData,
     TrainConfig,
     TrainingDiverged,
+    _loss_grad,
+    _transform_grad,
+    backward,
     encode_features,
     forward,
     gradient_check,
@@ -241,7 +246,81 @@ class TestTraining:
             train([(day, None)], cfg, heads=("slide",))
         assert info.value.head == "slide"
         assert 0 <= info.value.epoch < cfg.epochs
-        assert f"at epoch {info.value.epoch}" in str(info.value)
+        # 256 rows in one batch of 512: one optimizer step per epoch
+        assert info.value.step == info.value.epoch
+        assert f"at epoch {info.value.epoch}, optimizer step {info.value.step}" \
+            in str(info.value)
+
+
+def dense_embedding_grads(params, cache, head_grads):
+    """The embedding gradients of a shared step as whole tables: the
+    backward pass down to the embedding inputs, then ``np.add.at`` into a
+    zero table per field."""
+    a = params.arrays
+    features, x, z1, h1, z2, h2, head_cache = cache
+    dh2 = np.zeros_like(h2)
+    for head, dpred in head_grads.items():
+        zt, ht, z, out = head_cache[head]
+        dz = dpred * _transform_grad(z, out, HEAD_SPECS[head][0])
+        dh2 += (np.outer(dz, a[f"tower/{head}/wo"]) * (zt > 0)) @ a[f"tower/{head}/W"].T
+    dh1 = (dh2 * (z2 > 0)) @ a["backbone/W2"].T
+    dx = (dh1 * (z1 > 0)) @ a["backbone/W1"].T
+    d = a["emb/user"].shape[1]
+    grads = {}
+    for i, f in enumerate(FEATURE_FIELDS):
+        g = np.zeros_like(a[f"emb/{f}"])
+        np.add.at(g, features[:, i], dx[:, i * d:(i + 1) * d])
+        grads[f"emb/{f}"] = g
+    return grads
+
+
+def dense_step(params, acc, grads, lr, decay, eps=1e-8):
+    """The accumulator step on whole arrays."""
+    for name, g in grads.items():
+        acc[name] *= decay
+        acc[name] += g * g
+        params.arrays[name] -= lr * g / (np.sqrt(acc[name]) + eps)
+
+
+def bits(arr):
+    return arr.view(np.int64)
+
+
+class TestRowSparseEmbeddings:
+    def test_matches_dense_reference_bitwise(self):
+        """Ten steps of row-sparse backward and accumulator updates leave
+        params and accumulators bitwise equal to the dense reference; ids
+        repeat within each batch and most rows are never touched."""
+        rng = np.random.default_rng(21)
+        heads = ("slide", "watch")
+        cfg = TrainConfig(seed=8)
+        sparse = PredictorParams.init(cfg, heads=heads)
+        # an untouched row of -0.0 must keep its sign under the update
+        sparse.arrays["emb/video"][VOCAB["video"]] = -0.0
+        dense = PredictorParams(
+            {k: v.copy() for k, v in sparse.arrays.items()}, heads, sparse.seed)
+        opt = AdaptiveAccumulator(sparse, lr=0.05, decay=0.9)
+        acc = {k: np.zeros_like(v) for k, v in dense.arrays.items()}
+        for _ in range(10):
+            feats = np.column_stack([rng.integers(0, min(40, VOCAB[f]), size=64)
+                                     for f in FEATURE_FIELDS])
+            labels = rng.gamma(1.0, 5.0, size=64)
+            preds, cache = forward(sparse, feats, heads)
+            grads = backward(sparse, cache, {h: _loss_grad("mse", preds[h], labels, 0.1, 1.5)
+                                             for h in heads})
+            for i, f in enumerate(FEATURE_FIELDS):
+                np.testing.assert_array_equal(grads[f"emb/{f}"][0], np.unique(feats[:, i]))
+            preds, cache = forward(dense, feats, heads)
+            head_grads = {h: _loss_grad("mse", preds[h], labels, 0.1, 1.5) for h in heads}
+            dgrads = backward(dense, cache, head_grads)
+            dgrads.update(dense_embedding_grads(dense, cache, head_grads))
+            opt.step(sparse, grads)
+            dense_step(dense, acc, dgrads, lr=0.05, decay=0.9)
+        for k in sparse.arrays:
+            assert np.array_equal(bits(sparse.arrays[k]), bits(dense.arrays[k])), k
+            assert np.array_equal(bits(opt.acc[k]), bits(acc[k])), k
+        assert bits(sparse.arrays["emb/video"][VOCAB["video"]]).tolist() == \
+            bits(np.full(cfg.embedding_dim, -0.0)).tolist()
 
 
 class TestGradientCheck:
@@ -272,6 +351,28 @@ class TestPersistence:
         assert sorted(back.arrays) == sorted(params.arrays)
         for k in params.arrays:
             np.testing.assert_array_equal(params.arrays[k], back.arrays[k])
+
+    def test_trained_round_trip_bitwise(self, tmp_path):
+        """Trained params survive the row-sparse artifact bit for bit, and
+        it lists only rows that some training id hashes to."""
+        rng = np.random.default_rng(12)
+        feats = random_features(rng, 300)
+        day = StreamData(features=feats, labels={"slide": rng.gamma(1.0, 10.0, size=300),
+                                                 "watch": rng.gamma(1.0, 10.0, size=300)})
+        params, _ = train([(day, None)], TrainConfig(epochs=2, seed=13),
+                          heads=("slide", "watch"))
+        path = tmp_path / "params.txt"
+        save_params(path, params)
+        back = load_params(path)
+        assert back.heads == params.heads and back.seed == params.seed == 13
+        assert sorted(back.arrays) == sorted(params.arrays)
+        for k in params.arrays:
+            assert np.array_equal(bits(params.arrays[k]), bits(back.arrays[k])), k
+        written = {line.split("\t")[1]: line.split("\t")[2]
+                   for line in path.read_text().splitlines() if line.startswith("E\t")}
+        for i, f in enumerate(FEATURE_FIELDS):
+            rows = {int(r) for r in written[f"emb/{f}"].split(",")}
+            assert rows and rows <= set(feats[:, i].tolist()), f
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "params.txt"
