@@ -10,7 +10,7 @@ Run with:  python3 demos/position_bias_tour.py
 
 import numpy as np
 
-from ltvrank.datamodel import session_slide_times
+from ltvrank.datamodel import slide_times
 from ltvrank.pdq import build_pdq_labels, fit_page_groups, fit_tables
 from ltvrank.synthgen import GenConfig, generate
 
@@ -24,15 +24,12 @@ def main():
     print(f"{len(dataset.sessions)} sessions, {n_imp} impressions\n")
 
     # raw slide time by page depth
-    sums, counts = {}, {}
-    for sess in dataset.sessions:
-        st = session_slide_times(sess)
-        for r, s in zip(sess.records, st):
-            sums[r.page_index] = sums.get(r.page_index, 0.0) + float(s)
-            counts[r.page_index] = counts.get(r.page_index, 0) + 1
+    pages = dataset.columns["page_index"]
+    counts = np.bincount(pages)
+    sums = np.bincount(pages, weights=slide_times(dataset))
 
     print("page  impressions  mean slide time (s)")
-    for p in sorted(counts):
+    for p in np.flatnonzero(counts):
         if counts[p] < 200:
             continue
         bar = "#" * int(sums[p] / counts[p] / 4)
@@ -47,12 +44,9 @@ def main():
     tables = fit_tables(dataset, spec)
     labels = build_pdq_labels(dataset, spec, tables)
 
-    lab_sum, lab_n = {}, {}
-    for sess, labs in zip(dataset.sessions, labels):
-        for r, v in zip(sess.records, labs):
-            g = spec.group_of(r.page_index)
-            lab_sum[g] = lab_sum.get(g, 0.0) + float(v)
-            lab_n[g] = lab_n.get(g, 0) + 1
+    groups = spec.group_array(pages)
+    lab_sum = np.bincount(groups, weights=labels)
+    lab_n = np.bincount(groups)
 
     print("group  pages        zero-start S_k/T  mean quantile label")
     for g, (lo, hi) in enumerate(spec.ranges):

@@ -32,8 +32,7 @@ _EXPORTS = {
         "HEAD_SPECS", "VOCAB", "PredictorParams", "StreamData", "TrainConfig",
         "encode_features", "gradient_check", "hybrid_loss", "mse_loss", "predict",
         "train", "tweedie_loss"),
-    "metrics": ("MetricsReport", "lt_n", "mae", "pcoc", "pcoc_bucketed", "xauc",
-                "xauc_grouped"),
+    "metrics": ("MetricsReport", "lt_n", "mae", "pcoc", "xauc", "xauc_grouped"),
     "fusion": ("FusionWeights", "fused_score", "qa_authors", "replay", "replay_eval"),
     "synthgen": ("GenConfig", "GroundTruth", "empirical_zero_fraction", "generate"),
     "config": ("ConfigError", "PipelineConfig", "load_config"),

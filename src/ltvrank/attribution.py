@@ -76,7 +76,7 @@ def pair_flags(session: Session, j: int, i: int, config: AttributionConfig) -> d
     rec = 1 if rj.retrieval_source_id == ri.retrieval_source_id else 0
     v2v = 1 if (_v2v_hit(rj, ri, config.v2v_threshold)
                 or _v2v_hit(ri, rj, config.v2v_threshold)) else 0
-    cos = float(rj.embedding_array() @ ri.embedding_array())
+    cos = float(np.asarray(rj.content_embedding) @ np.asarray(ri.content_embedding))
     mm = 1 if cos > config.mm_threshold else 0
     auth = 1 if rj.author_id == ri.author_id else 0
     cat = 1 if rj.category_id == ri.category_id else 0
@@ -95,26 +95,23 @@ def combine_strength(flags: dict[str, int], config: AttributionConfig) -> float:
 def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[str, np.ndarray]:
     """Boolean (n, n) flag matrices over ordered pairs; entry [j, i] is set
     only for i > j (strict upper triangle)."""
-    n = len(session.records)
-    recs = session.records
+    n = len(session)
     idx = np.arange(n)
     upper = idx[None, :] > idx[:, None]
     w = config.adjacency_window
 
     pos = upper & ((idx[None, :] - idx[:, None]) <= w)
 
-    auth = np.array([r.author_id for r in recs])
-    cat = np.array([r.category_id for r in recs])
-    src = np.array([r.retrieval_source_id for r in recs])
-    emb = np.stack([r.embedding_array() for r in recs])
+    auth, cat, src = (session[f] for f in ("author_id", "category_id", "retrieval_source_id"))
+    emb = np.array(session["content_embedding"].tolist(), dtype=np.float64)
     cos = emb @ emb.T
 
     v2v = np.zeros((n, n), dtype=bool)
     vid_index: dict[int, list[int]] = {}
-    for i, r in enumerate(recs):
-        vid_index.setdefault(r.video_id, []).append(i)
-    for i, r in enumerate(recs):
-        for vid, score in r.v2v_neighbors:
+    for i, vid in enumerate(session["video_id"].tolist()):
+        vid_index.setdefault(vid, []).append(i)
+    for i, neighbors in enumerate(session["v2v_neighbors"]):
+        for vid, score in neighbors:
             if score > config.v2v_threshold and vid in vid_index:
                 for other in vid_index[vid]:
                     v2v[i, other] = True
@@ -122,9 +119,9 @@ def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[s
 
     col = np.zeros((n, n), dtype=bool)
     col_groups: dict[int, list[int]] = {}
-    for i, r in enumerate(recs):
-        if r.collection_id is not None:
-            col_groups.setdefault(r.collection_id, []).append(i)
+    for i, c in enumerate(session["collection_id"].tolist()):
+        if c >= 0:
+            col_groups.setdefault(c, []).append(i)
     for positions in col_groups.values():
         for m in positions:
             for i in positions:
@@ -147,7 +144,7 @@ def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[s
 def session_strength_matrix(session: Session, config: AttributionConfig) -> np.ndarray:
     """Upper-triangular matrix of c_ji (row j, column i; zero elsewhere)."""
     flags = session_flag_matrices(session, config)
-    n = len(session.records)
+    n = len(session)
     idx = np.arange(n)
     upper = idx[None, :] > idx[:, None]
     if config.mode == "binary":
@@ -180,7 +177,7 @@ def attributed_slide_time(session: Session, j: int, config: AttributionConfig,
 def session_attributed_slide_times(session: Session, config: AttributionConfig,
                                    Q: float = DEFAULT_CAP_Q) -> np.ndarray:
     """attributed_slide_time for every position, sharing pair computations."""
-    t = np.array([r.watch_time for r in session.records])
+    t = session["watch_time"]
     totals = (session_strength_matrix(session, config) * t[None, :]).sum(axis=1)
     return np.minimum(totals, float(Q))
 
@@ -198,10 +195,10 @@ def table1_diagnostics(dataset: Dataset, config: AttributionConfig) -> dict[str,
     time_by_dim = {d: 0.0 for d in FLAG_NAMES}
     pairs_by_dim = {d: 0 for d in FLAG_NAMES}
     for sess in dataset.sessions:
-        n = len(sess.records)
+        n = len(sess)
         if n < 2:
             continue
-        t = np.array([r.watch_time for r in sess.records])
+        t = sess["watch_time"]
         # every pair (j, i) contributes t_i once
         pair_time = t * np.arange(n)  # t_i counted i times (one per predecessor)
         total_time += float(pair_time.sum())

@@ -44,13 +44,13 @@ Aggregates = dict[tuple[int, int, int], float]
 
 
 def aggregate_author_days(dataset: Dataset) -> Aggregates:
-    """Exact watch-time sums grouped by (user, author, day)."""
-    out: Aggregates = {}
-    for sess in dataset.sessions:
-        for r in sess.records:
-            key = (r.user_id, r.author_id, r.day)
-            out[key] = out.get(key, 0.0) + r.watch_time
-    return out
+    """Exact watch-time sums grouped by (user, author, day), each added in
+    dataset order."""
+    c = dataset.columns
+    keys, inverse = np.unique(np.stack([c["user_id"], c["author_id"], c["day"]], axis=1),
+                              axis=0, return_inverse=True)
+    sums = np.bincount(inverse.reshape(-1), weights=c["watch_time"], minlength=len(keys))
+    return dict(zip(map(tuple, keys.tolist()), sums.tolist()))
 
 
 def author_ltv_label(aggregates: Aggregates, user_id: int, author_id: int,
@@ -85,15 +85,16 @@ def plan_dual_stream(dataset: Dataset, t: int, N: int = DEFAULT_WINDOW_N,
     if delayed_day < 0:
         warnings.warn(f"training day {t} < N={N}: delayed stream is empty",
                       stacklevel=2)
-    day = np.repeat([s.day for s in dataset.sessions], [len(s.records) for s in dataset.sessions])
-    author_labels = np.array(
-        [author_ltv_label(aggregates, r.user_id, r.author_id, t=t, N=N, alpha=alpha)
-         for s in dataset.sessions if s.day == delayed_day for r in s.records],
-        dtype=np.float64)
+    c = dataset.columns
+    delayed = np.flatnonzero(c["day"] == delayed_day)
+    # one label per distinct (user, author), scattered to its rows
+    pairs, inverse = np.unique(np.stack([c["user_id"][delayed], c["author_id"][delayed]], axis=1),
+                               axis=0, return_inverse=True)
+    labels = np.array([author_ltv_label(aggregates, user, author, t=t, N=N, alpha=alpha)
+                       for user, author in pairs.tolist()], dtype=np.float64)
     return DualStreamBatchPlan(training_day=t, window_n=N,
-                               standard=np.flatnonzero(day == t),
-                               delayed=np.flatnonzero(day == delayed_day),
-                               author_labels=author_labels)
+                               standard=np.flatnonzero(c["day"] == t),
+                               delayed=delayed, author_labels=labels[inverse.reshape(-1)])
 
 
 def audit_no_leakage(plan: DualStreamBatchPlan, dataset: Dataset,

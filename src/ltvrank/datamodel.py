@@ -1,5 +1,6 @@
-"""Canonical impression/session records, the dataset container, and the
-record formats of ``dataset.txt`` and ``labeled.txt``.
+"""The session log as columns (``Dataset``) with row-range session views,
+its scalar oracles, and the record formats of ``dataset.txt`` and
+``labeled.txt``. Only the oracles build ``ImpressionRecord``s.
 
 The artifact envelope (header, meta line, atomic write, strict reading)
 belongs to ``ltvrank.artifacts``. Integers are base-10; reals use Python
@@ -10,10 +11,9 @@ bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterator
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,38 +47,79 @@ class ImpressionRecord:
     v2v_neighbors: tuple[tuple[int, float], ...]
     revisit_flag: int
 
-    def embedding_array(self) -> np.ndarray:
-        return np.asarray(self.content_embedding, dtype=np.float64)
+
+#: The log's columns, in ``ImpressionRecord`` and ``dataset.txt`` field order.
+FIELDS = tuple(f.name for f in fields(ImpressionRecord))
+
+#: dtypes of the columns that are not int64
+_DTYPES = {"watch_time": np.float64, "content_embedding": object, "v2v_neighbors": object}
 
 
-@dataclass(frozen=True)
+def _column(values, name: str, n: int) -> np.ndarray:
+    return np.fromiter(values, dtype=_DTYPES.get(name, np.int64), count=n)
+
+
+@dataclass(frozen=True, eq=False)
 class Session:
-    """An ordered, non-empty run of impressions sharing session/user/day."""
+    """View of rows ``lo:hi`` of a dataset: one session's impressions, which
+    share its session, user and day. ``session[f]`` is that slice of column
+    ``f``."""
 
+    dataset: Dataset = field(repr=False)
+    lo: int
+    hi: int
     session_id: int
     user_id: int
     day: int
-    records: tuple[ImpressionRecord, ...]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.hi - self.lo
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.dataset.columns[name][self.lo:self.hi]
+
+    @cached_property
+    def records(self) -> tuple[ImpressionRecord, ...]:
+        """The rows as ``ImpressionRecord``s (collection -1 as None), built once."""
+        rows = zip(*(self[f].tolist() for f in FIELDS))
+        return tuple(ImpressionRecord(*row[:5], None if row[5] < 0 else row[5], *row[6:])
+                     for row in rows)
 
 
-@dataclass
 class Dataset:
-    """Ordered collection of sessions. Immutable by convention after load."""
+    """The session log as columns: ``columns[f]`` holds field ``f`` of every
+    impression in dataset order. Ids are int64 (``collection_id`` is -1 for
+    none), ``watch_time`` float64, and the embedding and v2v columns object
+    arrays of tuples. A session is a run of equal ``session_id``s;
+    ``bounds[k]:bounds[k + 1]`` are the rows of ``sessions[k]``.
+    ``len(dataset)`` counts sessions. Immutable by convention."""
 
-    sessions: list[Session] = field(default_factory=list)
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self.columns = columns
+        sid = columns["session_id"]
+        self.bounds = np.append(np.flatnonzero(np.r_[len(sid) > 0, sid[1:] != sid[:-1]]), len(sid))
+        lo = self.bounds[:-1]
+        self.sessions = [
+            Session(self, a, b, s, u, d) for a, b, s, u, d in zip(
+                lo.tolist(), self.bounds[1:].tolist(), sid[lo].tolist(),
+                columns["user_id"][lo].tolist(), columns["day"][lo].tolist())]
+
+    @classmethod
+    def from_records(cls, records) -> Dataset:
+        """The dataset of ``ImpressionRecord``s given in dataset order."""
+        records = list(records)
+        values = {f: [getattr(r, f) for r in records] for f in FIELDS}
+        values["collection_id"] = [-1 if c is None else c for c in values["collection_id"]]
+        return cls({f: _column(values[f], f, len(records)) for f in FIELDS})
 
     def __len__(self) -> int:
         return len(self.sessions)
 
-    def iter_records(self) -> Iterator[ImpressionRecord]:
-        for sess in self.sessions:
-            yield from sess.records
+    def __eq__(self, other: Dataset) -> bool:
+        return all(np.array_equal(self.columns[f], other.columns[f]) for f in FIELDS)
 
     def n_records(self) -> int:
-        return sum(len(s) for s in self.sessions)
+        return len(self.columns["session_id"])
 
 
 #: Per-impression label columns of ``labeled.txt``, each named after the
@@ -127,7 +168,7 @@ def validate_session(session: Session) -> list[str]:
         prev_global = r.global_position
         prev_page = r.page_index
         per_page[r.page_index] = per_page.get(r.page_index, 0) + 1
-        norm = float(np.linalg.norm(r.embedding_array()))
+        norm = float(np.linalg.norm(np.asarray(r.content_embedding)))
         if abs(norm - 1.0) > 1e-6:
             violations.append(f"{where}: content_embedding norm {norm:.8f} not within 1e-6 of 1")
         for vid, score in r.v2v_neighbors:
@@ -161,62 +202,59 @@ def compute_slide_time(session: Session, j: int, Q: float = DEFAULT_CAP_Q) -> fl
 
 def session_slide_times(session: Session, Q: float = DEFAULT_CAP_Q) -> np.ndarray:
     """Slide time for every position of one session, vectorized."""
-    t = np.array([r.watch_time for r in session.records], dtype=np.float64)
+    t = session["watch_time"]
     suffix = np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0.0]])
     return np.minimum(suffix, float(Q))
+
+
+def slide_times(dataset: Dataset, Q: float = DEFAULT_CAP_Q) -> np.ndarray:
+    """Slide time of every impression, in dataset order."""
+    return np.concatenate([session_slide_times(s, Q=Q) for s in dataset.sessions]
+                          or [np.empty(0)])
 
 
 # ---------------------------------------------------------------------------
 # Record formats
 # ---------------------------------------------------------------------------
 
-def _fmt_record(r: ImpressionRecord) -> str:
-    emb = ",".join(fmt_real(x) for x in r.content_embedding)
-    v2v = ",".join(f"{vid}:{fmt_real(score)}" for vid, score in r.v2v_neighbors)
-    col = "-" if r.collection_id is None else str(r.collection_id)
-    return "\t".join([
-        str(r.user_id), str(r.video_id), str(r.author_id), str(r.category_id),
-        str(r.retrieval_source_id), col, str(r.session_id), str(r.day),
-        str(r.page_index), str(r.position_in_page), str(r.global_position),
-        fmt_real(r.watch_time), emb, v2v, str(r.revisit_flag),
-    ])
-
-
-def _parse_record(parts: list[str]) -> ImpressionRecord:
-    if len(parts) != 15:
-        raise ValueError(f"expected 15 fields, got {len(parts)}")
-    emb = tuple(float(x) for x in parts[12].split(",")) if parts[12] else ()
-    v2v = []
-    if parts[13]:
-        for item in parts[13].split(","):
-            vid, score = item.split(":")
-            v2v.append((int(vid), float(score)))
-    return ImpressionRecord(
-        user_id=int(parts[0]), video_id=int(parts[1]), author_id=int(parts[2]),
-        category_id=int(parts[3]), retrieval_source_id=int(parts[4]),
-        collection_id=None if parts[5] == "-" else int(parts[5]),
-        session_id=int(parts[6]), day=int(parts[7]), page_index=int(parts[8]),
-        position_in_page=int(parts[9]), global_position=int(parts[10]),
-        watch_time=float(parts[11]), content_embedding=emb,
-        v2v_neighbors=tuple(v2v), revisit_flag=int(parts[14]),
-    )
-
-
 def save_dataset(path, dataset: Dataset, meta: str | None = None) -> None:
-    """Write a dataset atomically, one impression per line."""
-    artifacts.write(path, "dataset",
-                    (_fmt_record(r) for r in dataset.iter_records()), meta)
+    """Write a dataset atomically, one impression per line. Each embedding
+    and v2v tuple object is formatted once: rows of one video share them."""
+    texts: dict[int, str] = {}  # id of a tuple the dataset keeps alive -> its text
+
+    def lines():
+        for sess in dataset.sessions:
+            for (user, video, author, cat, src, col, sid, day, page, pos, glob,
+                 watch, emb, v2v, revisit) in zip(*(sess[f].tolist() for f in FIELDS)):
+                if id(emb) not in texts:
+                    texts[id(emb)] = ",".join(map(fmt_real, emb))
+                if id(v2v) not in texts:
+                    texts[id(v2v)] = ",".join(f"{vid}:{fmt_real(s)}" for vid, s in v2v)
+                yield (f"{user}\t{video}\t{author}\t{cat}\t{src}\t"
+                       f"{'-' if col < 0 else col}\t{sid}\t{day}\t{page}\t{pos}\t{glob}\t"
+                       f"{fmt_real(watch)}\t{texts[id(emb)]}\t{texts[id(v2v)]}\t{revisit}")
+
+    artifacts.write(path, "dataset", lines(), meta)
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset, grouping consecutive records by session_id."""
-    records = artifacts.read(path, "dataset", _parse_record)
-    sessions = []
-    for _, group in groupby(records, key=attrgetter("session_id")):
-        recs = tuple(group)
-        sessions.append(Session(session_id=recs[0].session_id, user_id=recs[0].user_id,
-                                day=recs[0].day, records=recs))
-    return Dataset(sessions=sessions)
+    """Load a dataset; consecutive rows of one session_id form a session.
+    Each distinct embedding or v2v field text is parsed once, and every
+    row with that text shares the one tuple."""
+    parse_embedding = cache(lambda text: tuple(map(float, text.split(","))) if text else ())
+    parse_v2v = cache(lambda text: tuple((int(vid), float(score)) for vid, score in (
+        item.split(":") for item in text.split(","))) if text else ())
+
+    def parse_row(parts: list[str]) -> tuple:
+        if len(parts) != 15:
+            raise ValueError(f"expected 15 fields, got {len(parts)}")
+        return (*map(int, parts[:5]), -1 if parts[5] == "-" else int(parts[5]),
+                *map(int, parts[6:11]), float(parts[11]), parse_embedding(parts[12]),
+                parse_v2v(parts[13]), int(parts[14]))
+
+    rows = artifacts.read(path, "dataset", parse_row)
+    return Dataset({f: _column(map(itemgetter(i), rows), f, len(rows))
+                    for i, f in enumerate(FIELDS)})
 
 
 def _fmt_labeled(row) -> str:

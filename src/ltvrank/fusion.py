@@ -96,24 +96,26 @@ def _replay_session(rng, cfg: GenConfig, gt: GroundTruth, session: Session,
     user = session.user_id
     activity = gt.user_activity[user]
     engagement = 1.0 + cfg.position_bias_strength * activity
-    recs = session.records
+    videos = session["video_id"].tolist()
+    authors = session["author_id"].tolist()
+    cats = session["category_id"].tolist()
     watched_vids: list[int] = []
     vv = 0
     watch_total = 0.0
     qa_watch = 0.0
     pref_watch = 0.0
-    for rank, idx in enumerate(order):
-        r = recs[idx]
-        aff = gt.affinity(user, r.author_id)
+    for rank, idx in enumerate(order.tolist()):
+        video, author, cat = videos[idx], authors[idx], cats[idx]
+        aff = gt.affinity(user, author)
         zero_p = cfg.zero_watch_prob * (0.5 if aff > 0 else 1.0)
         if rng.random() >= zero_p:
             w = rng.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale)
-            w *= gt.video_quality[r.video_id] * (1.0 + cfg.author_affinity_strength * aff)
+            w *= gt.video_quality[video] * (1.0 + cfg.author_affinity_strength * aff)
             w *= engagement
             # carryover from recently watched related videos
             for prev in watched_vids[-cfg.carryover_window:]:
-                related = (gt.video_category[prev] == r.category_id
-                           or gt.video_author[prev] == r.author_id)
+                related = (gt.video_category[prev] == cat
+                           or gt.video_author[prev] == author)
                 if related and cfg.category_carryover_strength > 0:
                     w += cfg.category_carryover_strength * rng.exponential(cfg.carryover_scale)
         else:
@@ -121,8 +123,8 @@ def _replay_session(rng, cfg: GenConfig, gt: GroundTruth, session: Session,
         if w > 0:
             vv += 1
             watch_total += w
-            watched_vids.append(r.video_id)
-            if r.author_id in qa:
+            watched_vids.append(video)
+            if author in qa:
                 qa_watch += w
             if aff > 0:
                 pref_watch += w
@@ -150,7 +152,6 @@ def replay(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
     revisit_by_user: dict[int, int] = {}
     users: set[int] = set()
     total = ReplayOutcome()
-    n_user_days = 0
     for sess in sessions:
         preds = scorer(sess)
         scores = fused_score(preds, weights)
@@ -162,7 +163,6 @@ def replay(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
         total.watch += watch
         total.qa_watch += qa_w
         users.add(sess.user_id)
-        n_user_days += 1
         # revisit propensity grows with preferred-author watch in this session
         if sess.day <= anchor + lt_window:
             p_rev = min(1.0, gen_config.revisit_base_prob

@@ -116,18 +116,6 @@ def pcoc(preds, labels) -> float:
     return float(preds.sum() / total)
 
 
-def pcoc_bucketed(preds, labels, n_buckets: int = 10) -> list[float]:
-    """Per-bucket PCOC over equal-frequency prediction buckets."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    order = np.argsort(preds, kind="stable")
-    out = []
-    for chunk in np.array_split(order, n_buckets):
-        if len(chunk) and labels[chunk].sum() > 0:
-            out.append(float(preds[chunk].sum() / labels[chunk].sum()))
-    return out
-
-
 def lt_n(cohort, dataset: Dataset, N: int, anchor_day: int = 0) -> float:
     """Fraction of cohort users with any revisit within the N days after
     the anchor day (days anchor+1 .. anchor+N)."""
@@ -136,12 +124,11 @@ def lt_n(cohort, dataset: Dataset, N: int, anchor_day: int = 0) -> float:
     cohort = set(cohort)
     if not cohort:
         raise ValueError("cohort is empty")
-    revisited: set[int] = set()
-    for sess in dataset.sessions:
-        if sess.user_id in cohort and anchor_day < sess.day <= anchor_day + N:
-            if any(r.revisit_flag == 1 for r in sess.records):
-                revisited.add(sess.user_id)
-    return len(revisited) / len(cohort)
+    c = dataset.columns
+    day = c["day"]
+    revisit = ((c["revisit_flag"] == 1) & (anchor_day < day) & (day <= anchor_day + N)
+               & np.isin(c["user_id"], list(cohort)))
+    return len(np.unique(c["user_id"][revisit])) / len(cohort)
 
 
 # ---------------------------------------------------------------------------

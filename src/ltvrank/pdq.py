@@ -15,7 +15,7 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import fmt_real
-from .datamodel import Dataset, session_slide_times, DEFAULT_CAP_Q
+from .datamodel import Dataset, DEFAULT_CAP_Q, slide_times
 
 #: Default quantization granularity.
 DEFAULT_T = 50
@@ -102,7 +102,7 @@ def fit_page_groups(dataset: Dataset, M: int = 7, mode: str = "table4") -> PageG
         return PageGroupSpec(ranges=TABLE4_BOUNDARIES)
     if mode != "isofrequency":
         raise ValueError(f"unknown mode {mode!r}")
-    pages = np.fromiter((r.page_index for r in dataset.iter_records()), dtype=np.int64)
+    pages = dataset.columns["page_index"]
     distinct = np.unique(pages)
     if M > len(distinct):
         raise ValueError(f"M={M} exceeds {len(distinct)} distinct page indices")
@@ -172,15 +172,6 @@ def quantile_labels(s: np.ndarray, table: QuantileTable) -> np.ndarray:
     return (b + table.S_k) / table.T
 
 
-def _log_columns(dataset: Dataset, Q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Slide times and page indices of every impression, in dataset order."""
-    slide = [session_slide_times(sess, Q=Q) for sess in dataset.sessions]
-    slide = np.concatenate(slide) if slide else np.empty(0)
-    pages = np.fromiter((r.page_index for r in dataset.iter_records()),
-                        dtype=np.int64, count=len(slide))
-    return slide, pages
-
-
 def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
                Q: float = DEFAULT_CAP_Q) -> dict[int, QuantileTable]:
     """Fit one quantile table per page group from a dataset's slide times.
@@ -189,8 +180,8 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
     least one) inherits the nearest shallower group's table, so every
     observed page maps to a usable table.
     """
-    slide, pages = _log_columns(dataset, Q)
-    groups = spec.group_array(pages)
+    slide = slide_times(dataset, Q)
+    groups = spec.group_array(dataset.columns["page_index"])
     tables: dict[int, QuantileTable] = {}
     for k in range(spec.n_groups):
         values = slide[groups == k]
@@ -208,26 +199,24 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
 
 def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
                      tables: dict[int, QuantileTable],
-                     Q: float = DEFAULT_CAP_Q) -> list[np.ndarray]:
-    """Per-session arrays of PDQ labels, in dataset order.
+                     Q: float = DEFAULT_CAP_Q) -> np.ndarray:
+    """PDQ label of every impression, in dataset order.
 
     Raises if any impression maps to a group without a fitted table.
     """
-    slide, pages = _log_columns(dataset, Q)
+    slide = slide_times(dataset, Q)
+    pages = dataset.columns["page_index"]
     groups = spec.group_array(pages)
-    lengths = [len(s) for s in dataset.sessions]
     unfitted = ~np.isin(groups, list(tables))
     if unfitted.any():
         row = int(np.argmax(unfitted))
-        sessions = np.repeat([s.session_id for s in dataset.sessions], lengths)
         raise KeyError(f"no quantile table fitted for page group {groups[row]} "
-                       f"(page {pages[row]}, session {sessions[row]})")
+                       f"(page {pages[row]}, session {dataset.columns['session_id'][row]})")
     labels = np.empty(len(slide), dtype=np.float64)
     for k, table in tables.items():
         in_group = groups == k
         labels[in_group] = quantile_labels(slide[in_group], table)
-    starts = np.cumsum([0] + lengths)
-    return [labels[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _is_cached(stage: str, workdir: Path, meta: str) -> bool:
 
 
 def _split_days(dataset: Dataset, test_days: int) -> tuple[list[int], list[int]]:
-    days = sorted({s.day for s in dataset.sessions})
+    days = np.unique(dataset.columns["day"]).tolist()
     if test_days < 1 or test_days >= len(days):
         raise ValueError(f"train.test_days={test_days} must leave at least one "
                          f"training day out of {len(days)} observed days")
@@ -133,11 +133,14 @@ def _split_days(dataset: Dataset, test_days: int) -> tuple[list[int], list[int]]
 
 def _row_keys(dataset: Dataset) -> dict[str, np.ndarray]:
     """``session_id`` and ``index`` of every impression, in dataset order."""
-    lengths = np.array([len(s) for s in dataset.sessions], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    return {"session_id": np.repeat(np.array([s.session_id for s in dataset.sessions],
-                                             dtype=np.int64), lengths),
-            "index": np.arange(lengths.sum()) - np.repeat(starts, lengths)}
+    starts = dataset.bounds[:-1]
+    return {"session_id": dataset.columns["session_id"],
+            "index": np.arange(dataset.n_records()) - np.repeat(starts, np.diff(dataset.bounds))}
+
+
+def _raw_ids(columns, rows=slice(None)) -> np.ndarray:
+    """``predictor.ID_COLUMNS`` of ``rows`` of a dataset's columns or a session."""
+    return np.column_stack([columns[name][rows] for name in predictor.ID_COLUMNS])
 
 
 def _load_labels(workdir: Path, loaded: dict) -> dict[str, np.ndarray]:
@@ -227,13 +230,11 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
     tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q)
     att_cfg = config.attribution_config()
     att_cfg.validate()
-    watch = np.fromiter((r.watch_time for r in dataset.iter_records()),
-                        dtype=np.float64, count=dataset.n_records())
+    watch = dataset.columns["watch_time"]
     labels = {
         **_row_keys(dataset),
-        "slide": np.concatenate([datamodel.session_slide_times(s, Q=Q)
-                                 for s in dataset.sessions]),
-        "pdq": np.concatenate(pdq.build_pdq_labels(dataset, spec, tables, Q=Q)),
+        "slide": datamodel.slide_times(dataset, Q=Q),
+        "pdq": pdq.build_pdq_labels(dataset, spec, tables, Q=Q),
         "attr": np.concatenate([attribution.session_attributed_slide_times(s, att_cfg, Q=Q)
                                 for s in dataset.sessions]),
         "watch": watch,
@@ -252,12 +253,12 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
 
 def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggregates):
     """Per-day (standard, delayed) StreamData for the training split."""
-    feats = predictor.encode_features(list(dataset.iter_records()), spec)
+    feats = predictor.encode_features(_raw_ids(dataset.columns), spec)
     train_days, _ = _split_days(dataset, int(config["train.test_days"]))
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
 
-    total = sum(len(s.records) for s in dataset.sessions if s.day in train_days)
+    total = int(np.isin(dataset.columns["day"], train_days).sum())
     max_n = int(config["train.max_examples"])
     keep = min(1.0, max_n / total) if total > max_n else 1.0
     rng = np.random.default_rng(np.random.SeedSequence((int(config["seed"]), 0x50b)))
@@ -317,17 +318,16 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     seed = int(config["seed"])
 
     _, test_days = _split_days(dataset, int(config["train.test_days"]))
-    day = np.repeat([s.day for s in dataset.sessions], [len(s) for s in dataset.sessions])
+    day = dataset.columns["day"]
     rows = np.flatnonzero(np.isin(day, test_days))
     max_n = int(config["eval.max_n"])
     if len(rows) > max_n:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xe7a1)))
         rows = rows[np.sort(rng.choice(len(rows), size=max_n, replace=False))]
     # encode only the rows predicted: the test rows here, the author rows below
-    records = list(dataset.iter_records())
-    test_records = [records[i] for i in rows]
-    preds = predictor.predict(params, predictor.encode_features(test_records, spec))
-    groups = spec.group_array(np.array([r.page_index for r in test_records], dtype=np.int64))
+    preds = predictor.predict(params, predictor.encode_features(
+        _raw_ids(dataset.columns, rows), spec))
+    groups = spec.group_array(dataset.columns["page_index"][rows])
 
     report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
                                    model_id=artifacts.meta_key(workdir / "params.txt"),
@@ -341,15 +341,15 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     # the last day, whose anchor day's N-day window is fully observed
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
-    max_day = max(s.day for s in dataset.sessions)
+    max_day = int(day.max())
     if "author" in preds and max_day >= N:
         plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates)
         if len(plan.delayed):
-            feats = predictor.encode_features([records[i] for i in plan.delayed], spec)
+            feats = predictor.encode_features(_raw_ids(dataset.columns, plan.delayed), spec)
             apreds = predictor.predict(params, feats, heads=("author",))
             report.add_head("author", apreds["author"], plan.author_labels)
 
-    cohort = {s.user_id for s in dataset.sessions if s.day == 0}
+    cohort = set(dataset.columns["user_id"][day == 0].tolist())
     for n in config.lt_windows():
         report.lt_n[n] = metrics.lt_n(cohort, dataset, n, anchor_day=0)
 
@@ -361,7 +361,7 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
 def make_scorer(params, spec):
     """Session scorer for replay: session -> per-record head predictions."""
     def scorer(session):
-        feats = predictor.encode_features(session.records, spec)
+        feats = predictor.encode_features(_raw_ids(session), spec)
         return predictor.predict(params, feats)
     return scorer
 
@@ -388,8 +388,7 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
 
     # page index vs mean slide time and zero share (position-bias picture)
     slide = labels["slide"]
-    pages = np.fromiter((r.page_index for r in dataset.iter_records()),
-                        dtype=np.int64, count=len(slide))
+    pages = dataset.columns["page_index"]
     counts = np.bincount(pages)
     sums = np.bincount(pages, weights=slide)
     zeros = np.bincount(pages[slide == 0.0], minlength=len(counts))

@@ -25,6 +25,9 @@ from . import artifacts
 
 FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 
+#: the dataset columns of the raw ids, one per ``FEATURE_FIELDS`` entry
+ID_COLUMNS = ("user_id", "video_id", "author_id", "category_id", "page_index")
+
 #: head name -> (output transform, default loss)
 HEAD_SPECS: dict[str, tuple[str, str]] = {
     "pdq": ("sigmoid", "mse"),
@@ -134,11 +137,10 @@ def _layout(d: int, h1: int, h2: int, ht: int, heads):
         yield f"tower/{head}/bo", (1,), None
 
 
-def encode_features(impressions, page_group_spec) -> np.ndarray:
-    """Hash (user, video, author, category, page group) ids to index rows;
-    a ``None`` spec puts every impression in page group 0."""
-    ids = np.array([(r.user_id, r.video_id, r.author_id, r.category_id, r.page_index)
-                    for r in impressions], dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
+def encode_features(raw_ids, page_group_spec) -> np.ndarray:
+    """Hash an (n, 5) array of raw ``ID_COLUMNS`` ids to index rows of the
+    ``FEATURE_FIELDS``; a ``None`` spec puts every row in page group 0."""
+    ids = np.array(raw_ids, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
     ids[:, 4] = page_group_spec.group_array(ids[:, 4]) if page_group_spec is not None else 0
     v = np.array([VOCAB[f] for f in FEATURE_FIELDS], dtype=np.int64)
     # reducing both factors first keeps the product far below 2**63

@@ -16,14 +16,13 @@ generator plants on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
 from .artifacts import fmt_real
-from .datamodel import Dataset, ImpressionRecord, Session
+from .datamodel import Dataset, Session, slide_times
 
 
 @dataclass
@@ -105,8 +104,8 @@ class GroundTruth:
 
     def planted_outgoing(self, session: Session) -> np.ndarray:
         """Total planted causal contribution each impression made to its successors."""
-        out = np.zeros(len(session.records), dtype=np.float64)
-        for i in range(len(session.records)):
+        out = np.zeros(len(session), dtype=np.float64)
+        for i in range(len(session)):
             _, contribs = self.contributions[(session.session_id, i)]
             for gap, value in contribs:
                 out[i - gap] += value
@@ -185,7 +184,6 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     (author_quality, video_author, video_category, video_collection,
      video_quality, video_promotion, emb) = _build_latents(cfg, rng)
     v2v = _build_v2v(cfg, rng, video_category, emb)
-    emb_tuples = [tuple(float(x) for x in emb[v]) for v in range(cfg.n_videos)]
 
     user_activity = rng.gamma(cfg.activity_shape, 1.0 / cfg.activity_shape,
                               size=cfg.n_users)
@@ -204,7 +202,9 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
         video_promotion=video_promotion, author_quality=author_quality,
     )
 
-    sessions: list[Session] = []
+    # per session, in ascending session_id: session_id, user, day, revisit,
+    # then the session's videos, retrieval sources and watch times
+    sessions: list[tuple] = []
     user_seeds = users_ss.spawn(cfg.n_users)
     for user in range(cfg.n_users):
         urng = np.random.default_rng(user_seeds[user])
@@ -224,20 +224,34 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
                 continue
             session_id = user * cfg.n_days + day
             revisit = 1 if (day > 0 and urng.random() < p_rev) else 0
-            sessions.append(_generate_session(
-                cfg, gt, urng, user, day, session_id, revisit,
-                user_activity[user], pref_videos, pop,
-                video_author, video_category, video_collection,
-                video_quality, video_promotion, emb, emb_tuples, v2v))
+            sessions.append((session_id, user, day, revisit, *_generate_session(
+                cfg, gt, urng, user, session_id, user_activity[user], pref_videos, pop,
+                video_author, video_category, video_quality, video_promotion, emb)))
 
-    sessions.sort(key=lambda s: s.session_id)
-    return Dataset(sessions=sessions), gt
+    # per-video fields are gathered by video id once for the whole log, so
+    # every impression of a video shares its embedding and v2v tuples
+    lengths = np.array([len(s[4]) for s in sessions], dtype=np.int64)
+    per_session = np.array([s[:4] for s in sessions], dtype=np.int64).reshape(-1, 4)
+    session_id, user, day, revisit = np.repeat(per_session.T, lengths, axis=1)
+    video, source, watch = (np.concatenate([np.zeros(0, dtype)] + [s[k] for s in sessions])
+                            for k, dtype in ((4, np.int64), (5, np.int64), (6, np.float64)))
+    index = np.arange(len(video)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    emb_tuples = np.fromiter(map(tuple, emb.tolist()), dtype=object, count=len(emb))
+    return Dataset({
+        "user_id": user, "video_id": video, "author_id": video_author[video],
+        "category_id": video_category[video], "retrieval_source_id": source,
+        "collection_id": video_collection[video], "session_id": session_id, "day": day,
+        "page_index": index // 4, "position_in_page": index % 4, "global_position": index,
+        "watch_time": watch, "content_embedding": emb_tuples[video],
+        "v2v_neighbors": np.fromiter(v2v, dtype=object, count=len(v2v))[video],
+        "revisit_flag": revisit,
+    }), gt
 
 
-def _generate_session(cfg, gt, urng, user, day, session_id, revisit, activity,
-                      pref_videos, pop, video_author, video_category,
-                      video_collection, video_quality, video_promotion,
-                      emb, emb_tuples, v2v) -> Session:
+def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, pop,
+                      video_author, video_category, video_quality, video_promotion, emb):
+    """One session's videos, retrieval sources and watch times; its planted
+    contributions go to ``gt``."""
     mean_pages = cfg.base_pages * (1.0 + cfg.position_bias_strength * activity)
     pages = int(urng.geometric(1.0 / max(mean_pages, 1.0)))
     pages = min(max(pages, 1), cfg.max_pages)
@@ -294,21 +308,9 @@ def _generate_session(cfg, gt, urng, user, day, session_id, revisit, activity,
             watch[i] = total
 
     retrieval = urng.integers(0, cfg.n_retrieval_sources, size=n)
-    records = []
     for i in range(n):
-        v = int(vids[i])
-        col = int(video_collection[v])
-        records.append(ImpressionRecord(
-            user_id=user, video_id=v, author_id=int(authors[i]),
-            category_id=int(cats[i]), retrieval_source_id=int(retrieval[i]),
-            collection_id=None if col < 0 else col,
-            session_id=session_id, day=day, page_index=i // 4,
-            position_in_page=i % 4, global_position=i,
-            watch_time=float(watch[i]), content_embedding=emb_tuples[v],
-            v2v_neighbors=v2v[v], revisit_flag=revisit,
-        ))
         gt.contributions[(session_id, i)] = (float(base[i]), tuple(contrib_lists[i]))
-    return Session(session_id=session_id, user_id=user, day=day, records=tuple(records))
+    return vids, retrieval, watch
 
 
 def empirical_zero_fraction(dataset: Dataset, pages: tuple[int, int | None],
@@ -319,25 +321,19 @@ def empirical_zero_fraction(dataset: Dataset, pages: tuple[int, int | None],
     means unbounded. ``field_name`` selects slide_time (default) or
     watch_time.
     """
-    from .datamodel import session_slide_times
-
     lo, hi = pages
-    total = 0
-    zeros = 0
-    for sess in dataset.sessions:
-        if field_name == "slide_time":
-            values = session_slide_times(sess, Q=np.inf)
-        elif field_name == "watch_time":
-            values = np.array([r.watch_time for r in sess.records])
-        else:
-            raise ValueError(f"unknown field {field_name!r}")
-        for r, v in zip(sess.records, values):
-            if lo <= r.page_index and (hi is None or r.page_index < hi):
-                total += 1
-                zeros += int(v == 0.0)
+    if field_name == "slide_time":
+        values = slide_times(dataset, Q=np.inf)
+    elif field_name == "watch_time":
+        values = dataset.columns["watch_time"]
+    else:
+        raise ValueError(f"unknown field {field_name!r}")
+    page = dataset.columns["page_index"]
+    in_range = (lo <= page) & (page < hi if hi is not None else True)
+    total = int(in_range.sum())
     if total == 0:
         raise ValueError(f"no impressions in page range {pages}")
-    return zeros / total
+    return int((values[in_range] == 0.0).sum()) / total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ltvrank.datamodel import Dataset, ImpressionRecord, Session
+from ltvrank.datamodel import Dataset, ImpressionRecord
 from ltvrank.synthgen import GenConfig, generate
 
 
@@ -39,8 +39,7 @@ def make_session(watch_times, session_id=0, user_id=0, day=0, authors=None,
             v2v_neighbors=v2v[i] if v2v else (),
             revisit_flag=revisit,
         ))
-    return Session(session_id=session_id, user_id=user_id, day=day,
-                   records=tuple(records))
+    return Dataset.from_records(records).sessions[0]
 
 
 def random_session(rng, n, session_id=0, user_id=0, day=0, dim=8):
@@ -85,4 +84,4 @@ def small_dataset(small_corpus):
 
 
 def as_dataset(*sessions) -> Dataset:
-    return Dataset(sessions=list(sessions))
+    return Dataset.from_records(r for s in sessions for r in s.records)

@@ -39,6 +39,7 @@ from ltvrank.pdq import (
 from ltvrank.pipeline import STAGES, make_scorer, run_stages
 from ltvrank.predictor import (
     FEATURE_FIELDS,
+    ID_COLUMNS,
     VOCAB,
     PredictorParams,
     StreamData,
@@ -82,37 +83,28 @@ def debias_models(corpora):
         spec = fit_page_groups(ds, mode="table4")
         tables = fit_tables(ds, spec)
         pdq_labels = build_pdq_labels(ds, spec, tables)
+        slide = np.concatenate([session_slide_times(sess) for sess in ds.sessions])
 
         test_day = max(sess.day for sess in ds.sessions)
-        tr_recs, tr_slide, tr_pdq = [], [], []
-        test_recs, test_slide, test_pdq, test_pages = [], [], [], []
-        for sess, labs in zip(ds.sessions, pdq_labels):
-            slide = session_slide_times(sess)
-            if sess.day == test_day:
-                test_recs.extend(sess.records)
-                test_slide.extend(slide)
-                test_pdq.extend(labs)
-                test_pages.extend(r.page_index for r in sess.records)
-            else:
-                tr_recs.extend(sess.records)
-                tr_slide.extend(slide)
-                tr_pdq.extend(labs)
+        test = ds.columns["day"] == test_day
+        ids = np.column_stack([ds.columns[c] for c in ID_COLUMNS])
+        tr_slide, tr_pdq = slide[~test], pdq_labels[~test]
+        test_slide, test_pdq = slide[test], pdq_labels[test]
+        test_pages = ds.columns["page_index"][test]
 
-        feats_tr = encode_features(tr_recs, None)
+        feats_tr = encode_features(ids[~test], None)
         cfg = TrainConfig(epochs=3, seed=s)
         pdq_params, _ = train(
-            [(StreamData(feats_tr, {"pdq": np.asarray(tr_pdq)}), None)],
+            [(StreamData(feats_tr, {"pdq": tr_pdq}), None)],
             cfg, heads=("pdq",))
         slide_params, _ = train(
-            [(StreamData(feats_tr, {"slide": np.asarray(tr_slide)}), None)],
+            [(StreamData(feats_tr, {"slide": tr_slide}), None)],
             cfg, heads=("slide",))
 
-        feats_test = encode_features(test_recs, None)
+        feats_test = encode_features(ids[test], None)
         pdq_pred = predict(pdq_params, feats_test)["pdq"]
         slide_pred = predict(slide_params, feats_test)["slide"]
-        groups = spec.group_array(np.asarray(test_pages, dtype=np.int64))
-        test_slide = np.asarray(test_slide)
-        test_pdq = np.asarray(test_pdq)
+        groups = spec.group_array(test_pages)
         results.append({
             "xauc_pdq": xauc_grouped(pdq_pred, test_slide, groups),
             "xauc_slide": xauc_grouped(slide_pred, test_slide, groups),

@@ -9,7 +9,8 @@ import pytest
 import ltvrank
 from ltvrank import author_ltv, datamodel, pdq, predictor, synthgen
 from ltvrank.cli import build_parser, main
-from ltvrank.pipeline import STAGES
+from ltvrank.config import load_config
+from ltvrank.pipeline import STAGES, run_stages
 
 TINY_SETS = []
 for pair in ("gen.n_users=40", "gen.n_videos=300", "gen.n_authors=15",
@@ -283,3 +284,20 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.splitlines() == ["False", "[]"]
+
+
+def test_no_stage_builds_impression_records(tmp_path, monkeypatch, capsys):
+    """Every stage reads the log's columns: with ``Session.records`` and the
+    ``ImpressionRecord`` constructor made to raise, ``all`` in one process
+    and the six single-stage commands still succeed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline stage built ImpressionRecords")
+
+    monkeypatch.setattr(datamodel.Session, "records", property(refuse))
+    monkeypatch.setattr(datamodel.ImpressionRecord, "__init__", refuse)
+    overrides = dict(pair.split("=") for pair in TINY_SETS[1::2])
+    statuses = run_stages(STAGES, load_config(overrides=overrides), tmp_path / "all")
+    assert set(statuses.values()) == {"ok"}
+    for stage in STAGES:
+        assert run(stage, tmp_path / "single") == 0, capsys.readouterr().err
+    capsys.readouterr()

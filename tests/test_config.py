@@ -239,7 +239,8 @@ def test_traced_functions_exist():
 
 def test_tracer_counts_work_of_a_traced_run(tmp_path):
     """``perfbench/tracer.py`` runs the pipeline with its wrappers in place
-    and counts the rows each encode call received and the calls of
+    and counts the rows each encode call received, the pairs of each
+    session's attribution (through ``Session.records``) and the calls of
     ``backward`` and ``save_params``, so a change to the shape of a traced
     function's arguments shows up here."""
     root = Path(__file__).resolve().parent.parent
@@ -250,6 +251,7 @@ def test_tracer_counts_work_of_a_traced_run(tmp_path):
                    check=True, capture_output=True, text=True, timeout=300)
     totals = json.loads((out / "trace.json").read_text())["totals"]
     assert totals["predictor.encode_features"]["work"] > 0
+    assert totals["attribution.session_attributed_slide_times"]["work"] > 0
     assert totals["author_ltv.plan_dual_stream"]["calls"] > 0
     assert totals["predictor.backward"]["calls"] > 0
     assert totals["predictor.save_params"]["calls"] == 1

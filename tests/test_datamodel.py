@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltvrank.datamodel import (
+    FIELDS,
     Dataset,
     DatasetFormatError,
+    Session,
     compute_slide_time,
     load_dataset,
     save_dataset,
@@ -32,7 +34,7 @@ class TestValidateSession:
         sess = make_session([1.0] * 5)
         bad = dataclasses.replace(sess.records[4], page_index=0,
                                   position_in_page=3)
-        sess = dataclasses.replace(sess, records=sess.records[:4] + (bad,))
+        sess = Dataset.from_records(sess.records[:4] + (bad,)).sessions[0]
         violations = validate_session(sess)
         assert any("exceed 4 per page" in v for v in violations)
 
@@ -40,11 +42,11 @@ class TestValidateSession:
         sess = make_session([1.0])
         bad = dataclasses.replace(sess.records[0],
                                   content_embedding=(2.0, 0.0, 0.0, 0.0))
-        sess = dataclasses.replace(sess, records=(bad,))
+        sess = Dataset.from_records([bad]).sessions[0]
         assert any("norm" in v for v in validate_session(sess))
 
     def test_empty_session_flagged(self):
-        sess = dataclasses.replace(make_session([1.0]), records=())
+        sess = Session(Dataset.from_records([]), 0, 0, session_id=0, user_id=0, day=0)
         assert validate_session(sess) == ["session 0: empty session"]
 
 
@@ -92,8 +94,8 @@ class TestSlideTime:
 class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         p = tmp_path / "d.txt"
-        save_dataset(p, Dataset())
-        assert load_dataset(p) == Dataset()
+        save_dataset(p, Dataset.from_records([]))
+        assert load_dataset(p) == Dataset.from_records([])
 
     def test_generated_round_trip(self, tmp_path, small_dataset):
         p = tmp_path / "d.txt"
@@ -132,3 +134,64 @@ class TestRoundTrip:
         p.write_text(lines[0] + "\n" + "\t".join(parts) + "\n")
         with pytest.raises(DatasetFormatError, match=":2:"):
             load_dataset(p)
+
+    def _one_line_dataset(self, tmp_path, field, value):
+        p = tmp_path / "d.txt"
+        save_dataset(p, as_dataset(make_session([1.0, 2.0], v2v=[((3, 0.5),), ()])))
+        lines = p.read_text().splitlines()
+        parts = lines[2].split("\t")
+        parts[field] = value
+        lines[2] = "\t".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    def test_malformed_embedding_value_names_line(self, tmp_path):
+        p = self._one_line_dataset(tmp_path, 12, "1.0,0.0,x,0.0")
+        with pytest.raises(DatasetFormatError, match=f"{p}:3:"):
+            load_dataset(p)
+
+    def test_malformed_v2v_item_names_line(self, tmp_path):
+        p = self._one_line_dataset(tmp_path, 13, "3:0.5,7")
+        with pytest.raises(DatasetFormatError, match=f"{p}:3:"):
+            load_dataset(p)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.integers(min_value=1, max_value=12), min_size=0, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_session_datasets_round_trip(self, tmp_path_factory, seed, lengths):
+        rng = np.random.default_rng(seed)
+        ds = as_dataset(*(random_session(rng, n, session_id=i, user_id=int(rng.integers(0, 9)),
+                                         day=int(rng.integers(0, 4)))
+                          for i, n in enumerate(lengths)))
+        p = tmp_path_factory.mktemp("rt") / "d.txt"
+        save_dataset(p, ds)
+        assert load_dataset(p) == ds
+
+
+class TestColumns:
+    def test_from_records_of_every_session_rebuilds_dataset(self, small_dataset):
+        rebuilt = Dataset.from_records(r for s in small_dataset.sessions for r in s.records)
+        assert rebuilt == small_dataset
+        assert len(rebuilt) == len(small_dataset)
+
+    def test_session_view_slices_columns(self, small_dataset):
+        sess = small_dataset.sessions[3]
+        assert len(sess) == len(sess.records) == sess.hi - sess.lo
+        for f in FIELDS:
+            values = [getattr(r, f) for r in sess.records]
+            if f == "collection_id":
+                values = [-1 if v is None else v for v in values]
+            assert sess[f].tolist() == values
+        assert {sess.session_id} == set(sess["session_id"].tolist())
+
+    def test_rows_of_one_embedding_share_a_tuple_after_load(self, tmp_path, small_dataset):
+        p = tmp_path / "d.txt"
+        save_dataset(p, small_dataset)
+        loaded = load_dataset(p)
+        by_text: dict[tuple, set[int]] = {}
+        for emb in loaded.columns["content_embedding"]:
+            by_text.setdefault(emb, set()).add(id(emb))
+        assert len(by_text) < loaded.n_records()
+        assert all(len(ids) == 1 for ids in by_text.values())
+        v2v_ids = {id(v) for v in loaded.columns["v2v_neighbors"]}
+        assert len(v2v_ids) == len(set(loaded.columns["v2v_neighbors"].tolist()))

@@ -6,7 +6,6 @@ from ltvrank.metrics import (
     lt_n,
     mae,
     pcoc,
-    pcoc_bucketed,
     render_summary,
     save_report,
     xauc,
@@ -142,13 +141,6 @@ class TestPointMetrics:
     def test_pcoc_zero_mass(self):
         with pytest.raises(ValueError, match="positive label mass"):
             pcoc([1.0, 2.0], [0.0, 0.0])
-
-    def test_pcoc_bucketed_constant_ratio(self):
-        rng = np.random.default_rng(6)
-        labels = rng.random(200) + 0.5
-        preds = 2.0 * labels
-        for b in pcoc_bucketed(preds, labels):
-            assert b == pytest.approx(2.0)
 
     def test_mae(self):
         assert mae([1.0, 3.0], [2.0, 5.0]) == 1.5

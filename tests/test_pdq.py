@@ -43,13 +43,13 @@ class TestPageGroups:
         ds = as_dataset(make_session([1.0] * 16))
         spec = fit_page_groups(ds, M=2, mode="isofrequency")
         counts = [0] * 2
-        for r in ds.iter_records():
-            counts[spec.group_of(r.page_index)] += 1
+        for page in ds.columns["page_index"].tolist():
+            counts[spec.group_of(page)] += 1
         assert abs(counts[0] - counts[1]) <= 4  # within one page of mass
 
     def test_group_array_matches_group_of(self, small_dataset):
         spec = fit_page_groups(small_dataset, mode="table4")
-        pages = np.array([r.page_index for r in small_dataset.iter_records()])
+        pages = small_dataset.columns["page_index"]
         grouped = spec.group_array(pages)
         for p, g in zip(pages[:200], grouped[:200]):
             assert spec.group_of(int(p)) == g
@@ -144,7 +144,7 @@ class TestBuildLabels:
         spec = PageGroupSpec(ranges=((0, None),))
         T = 50
         tables = fit_tables(small_dataset, spec, T=T)
-        labels = np.concatenate(build_pdq_labels(small_dataset, spec, tables))
+        labels = build_pdq_labels(small_dataset, spec, tables)
         slide = np.concatenate([session_slide_times(s)
                                 for s in small_dataset.sessions])
         # oracle: empirical CDF floor at resolution 1/T; the censored zero
@@ -161,7 +161,7 @@ class TestBuildLabels:
                           for i in range(20)))
         spec = PageGroupSpec(ranges=((0, None),))
         tables = fit_tables(ds, spec, T=4)
-        labels = np.concatenate(build_pdq_labels(ds, spec, tables))
+        labels = build_pdq_labels(ds, spec, tables)
         # within a session the final suffix is shorter, so compare per position
         per_pos = labels.reshape(20, 8)
         assert np.all(per_pos == per_pos[0])

@@ -7,6 +7,7 @@ from ltvrank.pdq import PageGroupSpec, TABLE4_BOUNDARIES
 from ltvrank.predictor import (
     FEATURE_FIELDS,
     HEAD_SPECS,
+    ID_COLUMNS,
     VOCAB,
     AdaptiveAccumulator,
     PredictorParams,
@@ -36,6 +37,12 @@ def random_features(rng, n):
     return np.column_stack(cols).astype(np.int64)
 
 
+def raw_ids(records):
+    """The ``ID_COLUMNS`` ids of each record, as ``encode_features`` takes them."""
+    return np.array([[getattr(r, c) for c in ID_COLUMNS] for r in records],
+                    dtype=np.int64).reshape(-1, len(ID_COLUMNS))
+
+
 def encode_oracle(records, spec):
     """Per-record ``encode_features``: ``group_of`` and Python-int hashing."""
     rows = []
@@ -50,15 +57,15 @@ class TestEncodeFeatures:
     def test_shape_and_determinism(self):
         sess = make_session([1.0] * 6)
         spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        f1 = encode_features(sess.records, spec)
-        f2 = encode_features(sess.records, spec)
+        f1 = encode_features(raw_ids(sess.records), spec)
+        f2 = encode_features(raw_ids(sess.records), spec)
         assert f1.shape == (6, 5)
         np.testing.assert_array_equal(f1, f2)
 
     def test_indices_within_vocab(self):
         sess = make_session([1.0] * 8)
         spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        feats = encode_features(sess.records, spec)
+        feats = encode_features(raw_ids(sess.records), spec)
         for i, f in enumerate(FEATURE_FIELDS):
             assert feats[:, i].max() <= VOCAB[f]
 
@@ -69,7 +76,7 @@ class TestEncodeFeatures:
         records = [r for k in range(20)
                    for r in random_session(rng, int(rng.integers(1, 30)), session_id=k,
                                            user_id=int(rng.integers(0, 10**6))).records]
-        np.testing.assert_array_equal(encode_features(records, spec),
+        np.testing.assert_array_equal(encode_features(raw_ids(records), spec),
                                       encode_oracle(records, spec))
 
     def test_ids_above_2_32_hash_exactly(self):
@@ -77,17 +84,17 @@ class TestEncodeFeatures:
         sess = make_session([1.0] * 4, user_id=big[3], videos=big, authors=big[::-1],
                             cats=[2**33, 2**34 + 1, 2**35 + 2, 2**36 + 3])
         spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        np.testing.assert_array_equal(encode_features(sess.records, spec),
+        np.testing.assert_array_equal(encode_features(raw_ids(sess.records), spec),
                                       encode_oracle(sess.records, spec))
 
     def test_empty_input_has_five_columns(self):
-        assert encode_features([], None).shape == (0, 5)
+        assert encode_features(np.zeros((0, 5), dtype=np.int64), None).shape == (0, 5)
 
     def test_negative_page_rejected(self):
         sess = make_session([1.0] * 3)
         bad = sess.records[:2] + (dataclasses.replace(sess.records[2], page_index=-1),)
         with pytest.raises(ValueError, match="page_index must be >= 0"):
-            encode_features(bad, PageGroupSpec(ranges=TABLE4_BOUNDARIES))
+            encode_features(raw_ids(bad), PageGroupSpec(ranges=TABLE4_BOUNDARIES))
 
 
 class TestForward:
