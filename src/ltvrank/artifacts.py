@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable
 
+import numpy as np
+
 
 class DatasetFormatError(ValueError):
     """An artifact could not be parsed; names the file and line."""
@@ -67,6 +69,45 @@ def read(path, kind: str, parse: Callable[[list[str]], object]) -> list:
             except (ValueError, IndexError) as exc:
                 raise DatasetFormatError(path, line_no, f"malformed record: {exc}") from None
     return out
+
+
+def read_array(path, kind: str, dtype: np.dtype, parse: Callable[[list[str]], tuple],
+               converters=None) -> np.ndarray:
+    """Every record line as one row of the structured ``dtype``.
+
+    numpy parses the tab-separated fields in bulk (``converters`` as for
+    ``np.loadtxt``). It accepts no text that ``read`` rejects, so where it
+    fails, ``read(path, kind, parse)`` parses line by line instead and
+    raises DatasetFormatError at the first bad line; ``parse`` returns one
+    row's fields as a tuple in ``dtype``'s order.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[0] == _header(kind) and lines[-1] == "":
+        records = [line for line in lines[1:-1] if line and not line.startswith("#")]
+        del lines
+        if not records:
+            return np.empty(0, dtype)
+        try:
+            return np.loadtxt(records, dtype=dtype, delimiter="\t", comments=None,
+                              converters=converters, ndmin=1)
+        except ValueError:
+            pass
+    return np.array(read(path, kind, parse), dtype=dtype)
+
+
+def line_of(path, index: int) -> int:
+    """Line number of record ``index`` (0-based, in file order) of an
+    artifact that ``read`` accepts."""
+    records = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            if line != "\n" and not line.startswith("#"):
+                if records == index:
+                    return line_no
+                records += 1
+    raise IndexError(f"{path} has no record {index}")
 
 
 def _meta_line(path) -> str | None:

@@ -1,6 +1,7 @@
 """The session log as columns (``Dataset``) with row-range session views,
-its scalar oracles, and the record formats of ``dataset.txt`` and
-``labeled.txt``. Only the oracles build ``ImpressionRecord``s.
+its scalar oracles, its ingest checks, and the record formats of
+``dataset.txt``, its per-video table ``videos.txt`` and ``labeled.txt``.
+Only the oracles build ``ImpressionRecord``s.
 
 The artifact envelope (header, meta line, atomic write, strict reading)
 belongs to ``ltvrank.artifacts``. Integers are base-10; reals use Python
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
-from operator import itemgetter
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def validate_session(session: Session) -> list[str]:
         prev_page = r.page_index
         per_page[r.page_index] = per_page.get(r.page_index, 0) + 1
         norm = float(np.linalg.norm(np.asarray(r.content_embedding)))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             violations.append(f"{where}: content_embedding norm {norm:.8f} not within 1e-6 of 1")
         for vid, score in r.v2v_neighbors:
             if not (0.0 <= score <= 1.0):
@@ -214,47 +215,234 @@ def slide_times(dataset: Dataset, Q: float = DEFAULT_CAP_Q) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Ingest checks
+# ---------------------------------------------------------------------------
+
+def row_faults(dataset: Dataset) -> list[tuple[str, str, np.ndarray]]:
+    """``validate_session``'s per-row rules as whole-log column checks, in
+    its order: per rule, the field it checks, the rule, and the mask of the
+    rows that break it. A session is a run of equal ``session_id``s."""
+    c = dataset.columns
+    n = dataset.n_records()
+    starts = dataset.bounds[:-1]
+    first = np.repeat(starts, np.diff(dataset.bounds))  # each row's session start
+    later = np.ones(n, dtype=bool)
+    later[starts] = False
+    watch, page, pos, day = c["watch_time"], c["page_index"], c["position_in_page"], c["day"]
+    glob, revisit = c["global_position"], c["revisit_flag"]
+
+    def prev(x):
+        return np.concatenate([x[:1], x[:-1]])
+
+    # each row's rank among its session's rows of its page, in row order
+    order = np.lexsort((page, first))
+    in_order = first[order], page[order]
+    group_start = np.ones(n, dtype=bool)
+    group_start[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in in_order])
+    rank = np.arange(n) - np.maximum.accumulate(np.where(group_start, np.arange(n), 0))
+    overfull = np.zeros(n, dtype=bool)
+    overfull[order[rank >= RECORDS_PER_PAGE]] = True
+    return [
+        ("user_id", "must be constant within a session", c["user_id"] != c["user_id"][first]),
+        ("day", "must be constant within a session", day != day[first]),
+        ("watch_time", "must be finite and >= 0", ~(np.isfinite(watch) & (watch >= 0))),
+        ("position_in_page", "must be in 0..3", (pos < 0) | (pos > 3)),
+        ("page_index", "must be >= 0", page < 0),
+        ("day", "must be >= 0", day < 0),
+        ("revisit_flag", "must be 0 or 1", (revisit != 0) & (revisit != 1)),
+        ("global_position", "must strictly increase within a session",
+         later & (glob <= prev(glob))),
+        ("page_index", "must not decrease within a session", later & (page < prev(page))),
+        ("page_index", f"must not repeat on more than {RECORDS_PER_PAGE} rows of a session",
+         overfull),
+    ]
+
+
+def video_faults(embeddings: np.ndarray,
+                 v2v: np.ndarray) -> list[tuple[str, str, np.ndarray]]:
+    """``validate_session``'s per-video rules, checked once per entry of an
+    embedding column and a v2v column of equal-length tuples: per rule, the
+    field, the rule, and the mask of the entries that break it."""
+    n = len(embeddings)
+    emb = np.array(embeddings.tolist(), dtype=np.float64).reshape(n, -1) if n else np.zeros((0, 0))
+    norm = np.linalg.norm(emb, axis=1)
+    counts = np.fromiter(map(len, v2v), dtype=np.int64, count=n)
+    scores = np.fromiter((s for pairs in v2v for _, s in pairs), dtype=np.float64,
+                         count=int(counts.sum()))
+    bad_score = np.zeros(n, dtype=bool)
+    bad_score[np.repeat(np.arange(n), counts)[~((scores >= 0.0) & (scores <= 1.0))]] = True
+    return [
+        ("content_embedding", "norm must be within 1e-6 of 1", ~(np.abs(norm - 1.0) <= 1e-6)),
+        ("v2v_neighbors", "scores must be in [0, 1]", bad_score),
+    ]
+
+
+def _fail(path, record: int, message: str):
+    """DatasetFormatError at the line of record ``record`` of ``path``."""
+    return DatasetFormatError(path, artifacts.line_of(path, record), message)
+
+
+def _raise_first(path, what: str, names: np.ndarray, faults) -> None:
+    """Raise at the first record of ``path`` that breaks a rule of
+    ``faults``, naming it as ``what`` ``names[record]``."""
+    hits = [(int(np.argmax(mask)), i) for i, (_, _, mask) in enumerate(faults) if mask.any()]
+    if hits:
+        record, i = min(hits)
+        field_name, rule, _ = faults[i]
+        raise _fail(path, record, f"{what} {names[record]}: {field_name} {rule}")
+
+
+# ---------------------------------------------------------------------------
 # Record formats
 # ---------------------------------------------------------------------------
 
+#: Per-video fields. ``save_dataset`` writes them once per video, to the
+#: table beside ``dataset.txt``, and ``load_dataset`` gathers them by
+#: ``video_id``.
+VIDEO_FIELDS = ("content_embedding", "v2v_neighbors")
+
+#: The fields of a ``dataset.txt`` row, in order.
+ROW_FIELDS = tuple(f for f in FIELDS if f not in VIDEO_FIELDS)
+
+_ROW_DTYPE = np.dtype([(f, _DTYPES.get(f, np.int64)) for f in ROW_FIELDS])
+
+#: rows that ``save_dataset`` formats at a time
+_BATCH = 1 << 16
+
+
+def video_table_path(path) -> Path:
+    """The per-video table of the log at ``path``: ``videos.txt`` beside it."""
+    return Path(path).with_name("videos.txt")
+
+
+def _fmt_embedding(emb) -> str:
+    return ",".join(map(fmt_real, emb))
+
+
+def _fmt_v2v(v2v) -> str:
+    return ",".join(f"{vid}:{fmt_real(s)}" for vid, s in v2v)
+
+
+def _video_texts(dataset: Dataset, name: str, fmt, first, inverse) -> list[str]:
+    """Text of column ``name`` for each distinct video, given ``np.unique``'s
+    ``first`` and ``inverse`` of the ``video_id`` column. Each tuple object
+    is formatted once. Raises ValueError naming a video whose rows carry
+    different text."""
+    column = dataset.columns[name]
+    ids = np.fromiter(map(id, column), dtype=np.int64, count=len(column))
+    _, obj_first, obj_inverse = np.unique(ids, return_index=True, return_inverse=True)
+    texts = [fmt(column[i]) for i in obj_first.tolist()]
+    codes: dict[str, int] = {}
+    code = np.array([codes.setdefault(t, len(codes)) for t in texts], dtype=np.int64)[obj_inverse]
+    differs = code != code[first][inverse]
+    if differs.any():
+        row = int(np.argmax(differs))
+        raise ValueError(
+            f"video {dataset.columns['video_id'][row]}: rows {first[inverse[row]]} and {row} "
+            f"carry different {name} text, but the per-video table holds one per video")
+    return [texts[k] for k in obj_inverse[first].tolist()]
+
+
 def save_dataset(path, dataset: Dataset, meta: str | None = None) -> None:
-    """Write a dataset atomically, one impression per line. Each embedding
-    and v2v tuple object is formatted once: rows of one video share them."""
-    texts: dict[int, str] = {}  # id of a tuple the dataset keeps alive -> its text
+    """Write a dataset atomically as two artifacts: ``path`` holds one
+    impression per line with the ``ROW_FIELDS``, and ``video_table_path(path)``
+    one line per distinct ``video_id``, in ascending order, with its
+    embedding and v2v list. Raises ValueError, before writing, if two rows
+    of one video carry different text in a per-video field."""
+    ids, first, inverse = np.unique(dataset.columns["video_id"], return_index=True,
+                                    return_inverse=True)
+    emb = _video_texts(dataset, "content_embedding", _fmt_embedding, first, inverse)
+    v2v = _video_texts(dataset, "v2v_neighbors", _fmt_v2v, first, inverse)
+    # %r of a float is fmt_real's shortest round-trip repr
+    line = "\t".join("%r" if f == "watch_time" else "%s" for f in ROW_FIELDS)
+    col = ROW_FIELDS.index("collection_id")
 
-    def lines():
-        for sess in dataset.sessions:
-            for (user, video, author, cat, src, col, sid, day, page, pos, glob,
-                 watch, emb, v2v, revisit) in zip(*(sess[f].tolist() for f in FIELDS)):
-                if id(emb) not in texts:
-                    texts[id(emb)] = ",".join(map(fmt_real, emb))
-                if id(v2v) not in texts:
-                    texts[id(v2v)] = ",".join(f"{vid}:{fmt_real(s)}" for vid, s in v2v)
-                yield (f"{user}\t{video}\t{author}\t{cat}\t{src}\t"
-                       f"{'-' if col < 0 else col}\t{sid}\t{day}\t{page}\t{pos}\t{glob}\t"
-                       f"{fmt_real(watch)}\t{texts[id(emb)]}\t{texts[id(v2v)]}\t{revisit}")
+    def rows():
+        for lo in range(0, dataset.n_records(), _BATCH):
+            values = [dataset.columns[f][lo:lo + _BATCH].tolist() for f in ROW_FIELDS]
+            values[col] = ["-" if c < 0 else c for c in values[col]]
+            yield from map(line.__mod__, zip(*values))
 
-    artifacts.write(path, "dataset", lines(), meta)
+    artifacts.write(path, "dataset", rows(), meta)
+    artifacts.write(video_table_path(path), "videos",
+                    map("\t".join, zip(map(str, ids.tolist()), emb, v2v)), meta)
+
+
+def _collection(text: str) -> int:
+    return -1 if text == "-" else int(text)
+
+
+def _parse_row(parts: list[str]) -> tuple:
+    if len(parts) != len(ROW_FIELDS):
+        raise ValueError(f"expected {len(ROW_FIELDS)} fields, got {len(parts)}")
+    return (*map(int, parts[:5]), _collection(parts[5]), *map(int, parts[6:11]),
+            float(parts[11]), int(parts[12]))
+
+
+def _parse_video(parts: list[str]) -> tuple:
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 fields, got {len(parts)}")
+    emb = tuple(map(float, parts[1].split(","))) if parts[1] else ()
+    v2v = tuple((int(vid), float(score)) for vid, score in (
+        item.split(":") for item in parts[2].split(","))) if parts[2] else ()
+    return int(parts[0]), emb, v2v
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset; consecutive rows of one session_id form a session.
-    Each distinct embedding or v2v field text is parsed once, and every
-    row with that text shares the one tuple."""
-    parse_embedding = cache(lambda text: tuple(map(float, text.split(","))) if text else ())
-    parse_v2v = cache(lambda text: tuple((int(vid), float(score)) for vid, score in (
-        item.split(":") for item in text.split(","))) if text else ())
+    """Load the dataset that ``save_dataset`` wrote to ``path`` and
+    ``video_table_path(path)``; consecutive rows of one ``session_id`` form
+    a session, and every impression of a video shares the video's embedding
+    and v2v tuples.
 
-    def parse_row(parts: list[str]) -> tuple:
-        if len(parts) != 15:
-            raise ValueError(f"expected 15 fields, got {len(parts)}")
-        return (*map(int, parts[:5]), -1 if parts[5] == "-" else int(parts[5]),
-                *map(int, parts[6:11]), float(parts[11]), parse_embedding(parts[12]),
-                parse_v2v(parts[13]), int(parts[14]))
+    Raises DatasetFormatError with ``path:line`` of the file at fault on a
+    malformed record, a missing table, table ids that do not strictly
+    increase, an embedding whose dimension differs from the first, a table
+    row that no impression references, an impression whose video has no
+    table row, or a break of ``validate_session``'s rules (``video_faults``
+    per video, then ``row_faults``), naming the video or session and field.
+    """
+    path = Path(path)
+    rows = artifacts.read_array(path, "dataset", _ROW_DTYPE, _parse_row,
+                                converters={5: _collection})
+    table_path = video_table_path(path)
+    if not table_path.exists():
+        raise DatasetFormatError(table_path, 1, f"missing: the per-video table of {path}")
+    table = artifacts.read(table_path, "videos", _parse_video)
+    ids = np.fromiter((t[0] for t in table), dtype=np.int64, count=len(table))
+    emb = np.fromiter((t[1] for t in table), dtype=object, count=len(table))
+    v2v = np.fromiter((t[2] for t in table), dtype=object, count=len(table))
+    del table
+    step = np.flatnonzero(ids[1:] <= ids[:-1])
+    if len(step):
+        k = int(step[0]) + 1
+        raise _fail(table_path, k, f"video {ids[k]} follows {ids[k - 1]}: "
+                                   f"ids must strictly increase")
+    dims = np.fromiter(map(len, emb), dtype=np.int64, count=len(emb))
+    if len(dims) and (dims != dims[0]).any():
+        k = int(np.argmax(dims != dims[0]))
+        raise _fail(table_path, k, f"video {ids[k]}: content_embedding has dimension "
+                                   f"{dims[k]}, the first has {dims[0]}")
 
-    rows = artifacts.read(path, "dataset", parse_row)
-    return Dataset({f: _column(map(itemgetter(i), rows), f, len(rows))
-                    for i, f in enumerate(FIELDS)})
+    video = rows["video_id"]
+    at = np.searchsorted(ids, video)
+    found = at < len(ids)
+    found[found] = ids[at[found]] == video[found]
+    if not found.all():
+        row = int(np.argmin(found))
+        raise _fail(path, row, f"video {video[row]} has no row in {table_path}")
+    used = np.zeros(len(ids), dtype=bool)
+    used[at] = True
+    if not used.all():
+        k = int(np.argmin(used))
+        raise _fail(table_path, k, f"video {ids[k]} is referenced by no impression of {path}")
+    _raise_first(table_path, "video", ids, video_faults(emb, v2v))
+
+    columns = {f: rows[f].copy() for f in ROW_FIELDS}
+    del rows
+    columns.update(content_embedding=emb[at], v2v_neighbors=v2v[at])
+    dataset = Dataset({f: columns[f] for f in FIELDS})
+    _raise_first(path, "session", dataset.columns["session_id"], row_faults(dataset))
+    return dataset
 
 
 def _fmt_labeled(row) -> str:

@@ -89,33 +89,60 @@ class ReplayReport:
     per_seed: dict[str, list[float]]
 
 
-def _replay_session(rng, cfg: GenConfig, gt: GroundTruth, session: Session,
-                    order: np.ndarray, qa: set[int],
+@dataclass
+class _Slate:
+    """A held-out session's replay inputs that no draw changes: its head
+    predictions, per row the factors of the user model, and its row order
+    under each weighting replayed so far."""
+
+    session: Session
+    preds: dict[str, np.ndarray]
+    engagement: float
+    # per row: zero-watch chance, quality x affinity scale, author in the QA
+    # set, author preferred, and the row's category and author in the log
+    rows: list[tuple]
+    planted: list[tuple[int, int]]  # per row: the video's planted category, author
+    orders: dict[tuple, list[int]] = field(default_factory=dict)
+
+
+def _slate(cfg: GenConfig, gt: GroundTruth, session: Session, preds, qa: set[int]) -> _Slate:
+    user = session.user_id
+    videos = session["video_id"]
+    authors = session["author_id"].tolist()
+    aff = np.array([gt.affinity(user, a) for a in authors])
+    zero_p = [cfg.zero_watch_prob * (0.5 if a > 0 else 1.0) for a in aff.tolist()]
+    scale = gt.video_quality[videos] * (1.0 + cfg.author_affinity_strength * aff)
+    rows = list(zip(zero_p, scale.tolist(), [a in qa for a in authors], (aff > 0).tolist(),
+                    session["category_id"].tolist(), authors))
+    planted = list(zip(gt.video_category[videos].tolist(), gt.video_author[videos].tolist()))
+    engagement = 1.0 + cfg.position_bias_strength * float(gt.user_activity[user])
+    return _Slate(session, preds, engagement, rows, planted)
+
+
+def _weights_key(weights: FusionWeights) -> tuple:
+    return (weights.w_watch, weights.w_attr, weights.w_author,
+            tuple(sorted(weights.exponents.items())))
+
+
+def _replay_session(rng, cfg: GenConfig, slate: _Slate, order: list[int],
                     cont_base: float = 0.75, cont_bonus: float = 0.2):
     """Simulate one user consuming a re-ranked slate with early exit."""
-    user = session.user_id
-    activity = gt.user_activity[user]
-    engagement = 1.0 + cfg.position_bias_strength * activity
-    videos = session["video_id"].tolist()
-    authors = session["author_id"].tolist()
-    cats = session["category_id"].tolist()
-    watched_vids: list[int] = []
+    rows, planted = slate.rows, slate.planted
+    watched: list[int] = []  # rows watched, in watch order
     vv = 0
     watch_total = 0.0
     qa_watch = 0.0
     pref_watch = 0.0
-    for rank, idx in enumerate(order.tolist()):
-        video, author, cat = videos[idx], authors[idx], cats[idx]
-        aff = gt.affinity(user, author)
-        zero_p = cfg.zero_watch_prob * (0.5 if aff > 0 else 1.0)
+    for rank, idx in enumerate(order):
+        zero_p, scale, in_qa, preferred, cat, author = rows[idx]
         if rng.random() >= zero_p:
             w = rng.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale)
-            w *= gt.video_quality[video] * (1.0 + cfg.author_affinity_strength * aff)
-            w *= engagement
+            w *= scale
+            w *= slate.engagement
             # carryover from recently watched related videos
-            for prev in watched_vids[-cfg.carryover_window:]:
-                related = (gt.video_category[prev] == cat
-                           or gt.video_author[prev] == author)
+            for prev in watched[-cfg.carryover_window:]:
+                prev_cat, prev_author = planted[prev]
+                related = prev_cat == cat or prev_author == author
                 if related and cfg.category_carryover_strength > 0:
                     w += cfg.category_carryover_strength * rng.exponential(cfg.carryover_scale)
         else:
@@ -123,10 +150,10 @@ def _replay_session(rng, cfg: GenConfig, gt: GroundTruth, session: Session,
         if w > 0:
             vv += 1
             watch_total += w
-            watched_vids.append(video)
-            if author in qa:
+            watched.append(idx)
+            if in_qa:
                 qa_watch += w
-            if aff > 0:
+            if preferred:
                 pref_watch += w
         p_cont = min(0.98, cont_base + (cont_bonus if w > 0 else 0.0))
         if rank + 1 < len(order) and rng.random() >= p_cont:
@@ -136,29 +163,36 @@ def _replay_session(rng, cfg: GenConfig, gt: GroundTruth, session: Session,
 
 def replay(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
            scorer, weights: FusionWeights, holdout_days, seed: int,
-           lt_window: int = 3) -> ReplayOutcome:
+           lt_window: int = 3, slates: list | None = None) -> ReplayOutcome:
     """Replay every held-out session re-ranked by fused score.
 
     ``scorer(session) -> dict[head, np.ndarray]`` supplies per-record head
-    predictions. Deterministic under ``seed``.
+    predictions. Deterministic under ``seed``. Replays of one held-out split
+    may share a ``slates`` list: the first fills it with each held-out
+    session's predictions and user-model factors, and each session keeps its
+    order under every weighting replayed, so later replays only draw.
     """
     weights.validate()
     holdout = set(holdout_days)
-    sessions = [s for s in dataset.sessions if s.day in holdout]
-    if not sessions:
+    slates = [] if slates is None else slates
+    if not slates:
+        qa = qa_authors(gt)
+        slates.extend(_slate(gen_config, gt, s, scorer(s), qa)
+                      for s in dataset.sessions if s.day in holdout)
+    if not slates:
         raise ValueError("held-out split is empty")
     anchor = min(holdout) - 1
-    qa = qa_authors(gt)
+    key = _weights_key(weights)
     revisit_by_user: dict[int, int] = {}
     users: set[int] = set()
     total = ReplayOutcome()
-    for sess in sessions:
-        preds = scorer(sess)
-        scores = fused_score(preds, weights)
-        order = np.lexsort((np.arange(len(scores)), -scores))
+    for slate in slates:
+        if key not in slate.orders:
+            scores = fused_score(slate.preds, weights)
+            slate.orders[key] = np.lexsort((np.arange(len(scores)), -scores)).tolist()
+        sess = slate.session
         rng = np.random.default_rng(np.random.SeedSequence((seed, sess.session_id)))
-        vv, watch, qa_w, pref_watch = _replay_session(
-            rng, gen_config, gt, sess, order, qa)
+        vv, watch, qa_w, pref_watch = _replay_session(rng, gen_config, slate, slate.orders[key])
         total.vv += vv
         total.watch += watch
         total.qa_watch += qa_w
@@ -181,20 +215,15 @@ def replay_eval(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
     across ``n_seeds`` replay seeds, with percentile confidence intervals."""
     metrics = ("vv", "watch", "qa_watch", "lt_n")
     per_seed: dict[str, list[float]] = {m: [] for m in metrics}
-    # every seed and both weightings replay the same sessions: score each once
-    scored: dict[int, dict[str, np.ndarray]] = {}
-
-    def scorer_once(session):
-        if session.session_id not in scored:
-            scored[session.session_id] = scorer(session)
-        return scored[session.session_id]
-
+    # every seed and both weightings replay the same sessions: the first
+    # replay scores each once, and each weighting orders each once
+    slates: list[_Slate] = []
     for s in range(n_seeds):
         seed = base_seed + s
-        test = replay(dataset, gt, gen_config, scorer_once, weights, holdout_days,
-                      seed=seed, lt_window=lt_window)
-        base = replay(dataset, gt, gen_config, scorer_once, baseline_weights,
-                      holdout_days, seed=seed, lt_window=lt_window)
+        test = replay(dataset, gt, gen_config, scorer, weights, holdout_days,
+                      seed=seed, lt_window=lt_window, slates=slates)
+        base = replay(dataset, gt, gen_config, scorer, baseline_weights,
+                      holdout_days, seed=seed, lt_window=lt_window, slates=slates)
         for m in metrics:
             per_seed[m].append(getattr(test, m) - getattr(base, m))
     deltas = {m: float(np.mean(per_seed[m])) for m in metrics}

@@ -173,14 +173,16 @@ def quantile_labels(s: np.ndarray, table: QuantileTable) -> np.ndarray:
 
 
 def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
-               Q: float = DEFAULT_CAP_Q) -> dict[int, QuantileTable]:
-    """Fit one quantile table per page group from a dataset's slide times.
+               Q: float = DEFAULT_CAP_Q, slide: np.ndarray | None = None
+               ) -> dict[int, QuantileTable]:
+    """Fit one quantile table per page group from a dataset's slide times
+    (``slide``, if the caller has ``slide_times(dataset, Q)`` already).
 
     A group too sparse to estimate T quantiles (fewer than T samples but at
     least one) inherits the nearest shallower group's table, so every
     observed page maps to a usable table.
     """
-    slide = slide_times(dataset, Q)
+    slide = slide_times(dataset, Q) if slide is None else slide
     groups = spec.group_array(dataset.columns["page_index"])
     tables: dict[int, QuantileTable] = {}
     for k in range(spec.n_groups):
@@ -199,12 +201,13 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
 
 def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
                      tables: dict[int, QuantileTable],
-                     Q: float = DEFAULT_CAP_Q) -> np.ndarray:
-    """PDQ label of every impression, in dataset order.
+                     Q: float = DEFAULT_CAP_Q, slide: np.ndarray | None = None) -> np.ndarray:
+    """PDQ label of every impression, in dataset order (``slide`` as for
+    ``fit_tables``).
 
     Raises if any impression maps to a group without a fitted table.
     """
-    slide = slide_times(dataset, Q)
+    slide = slide_times(dataset, Q) if slide is None else slide
     pages = dataset.columns["page_index"]
     groups = spec.group_array(pages)
     unfitted = ~np.isin(groups, list(tables))

@@ -40,16 +40,17 @@ STAGES = ("gen", "labels", "train", "eval", "replay", "report")
 
 #: stage -> (input artifact names, output artifact names)
 STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "gen": ((), ("dataset.txt", "groundtruth.txt")),
-    "labels": (("dataset.txt",),
+    "gen": ((), ("dataset.txt", "videos.txt", "groundtruth.txt")),
+    "labels": (("dataset.txt", "videos.txt"),
                ("tables.txt", "labeled.txt", "aggregates.txt", "diagnostics.txt")),
-    "train": (("dataset.txt", "labeled.txt", "tables.txt", "aggregates.txt"),
+    "train": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "aggregates.txt"),
               ("params.txt", "loss_trace.txt")),
-    "eval": (("dataset.txt", "labeled.txt", "tables.txt", "aggregates.txt", "params.txt"),
+    "eval": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "aggregates.txt",
+              "params.txt"),
              ("metrics.txt", "metrics_summary.txt")),
-    "replay": (("dataset.txt", "groundtruth.txt", "tables.txt", "params.txt"),
+    "replay": (("dataset.txt", "videos.txt", "groundtruth.txt", "tables.txt", "params.txt"),
                ("replay.txt",)),
-    "report": (("dataset.txt", "labeled.txt", "tables.txt", "diagnostics.txt",
+    "report": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "diagnostics.txt",
                 "metrics_summary.txt", "replay.txt"),
                ("report.txt", "plot_page_slide.txt", "plot_quantiles.txt",
                 "plot_slide_hist.txt")),
@@ -159,7 +160,7 @@ def _load_labels(workdir: Path, loaded: dict) -> dict[str, np.ndarray]:
 
 #: input artifact -> its loader from disk, given (workdir, loaded). Loaders
 #: are looked up on their modules at call time, so wrappers installed there
-#: see every disk load.
+#: see every disk load. ``dataset.txt``'s loader also reads ``videos.txt``.
 _LOADERS = {
     "dataset.txt": lambda workdir, _: datamodel.load_dataset(workdir / "dataset.txt"),
     "groundtruth.txt": lambda workdir, _: synthgen.load_ground_truth(
@@ -227,14 +228,15 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
     Q = float(config["cap_q"])
     spec = pdq.fit_page_groups(dataset, M=int(config["pdq.M"]),
                                mode=str(config["pdq.mode"]))
-    tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q)
+    slide = datamodel.slide_times(dataset, Q=Q)
+    tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q, slide=slide)
     att_cfg = config.attribution_config()
     att_cfg.validate()
     watch = dataset.columns["watch_time"]
     labels = {
         **_row_keys(dataset),
-        "slide": datamodel.slide_times(dataset, Q=Q),
-        "pdq": pdq.build_pdq_labels(dataset, spec, tables, Q=Q),
+        "slide": slide,
+        "pdq": pdq.build_pdq_labels(dataset, spec, tables, Q=Q, slide=slide),
         "attr": np.concatenate([attribution.session_attributed_slide_times(s, att_cfg, Q=Q)
                                 for s in dataset.sessions]),
         "watch": watch,

@@ -188,6 +188,10 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     user_activity = rng.gamma(cfg.activity_shape, 1.0 / cfg.activity_shape,
                               size=cfg.n_users)
     pop = video_quality / video_quality.sum()
+    # feed videos are drawn by inverting this CDF, as Generator.choice(p=pop)
+    # does, but without rebuilding it for every session
+    cdf = pop.cumsum()
+    cdf /= cdf[-1]
     videos_by_author: list[np.ndarray] = [
         np.flatnonzero(video_author == a) for a in range(cfg.n_authors)
     ]
@@ -225,7 +229,7 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
             session_id = user * cfg.n_days + day
             revisit = 1 if (day > 0 and urng.random() < p_rev) else 0
             sessions.append((session_id, user, day, revisit, *_generate_session(
-                cfg, gt, urng, user, session_id, user_activity[user], pref_videos, pop,
+                cfg, gt, urng, user, session_id, user_activity[user], pref_videos, cdf,
                 video_author, video_category, video_quality, video_promotion, emb)))
 
     # per-video fields are gathered by video id once for the whole log, so
@@ -248,10 +252,19 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
     }), gt
 
 
-def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, pop,
+def draw_from_cdf(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``n`` indices drawn with probabilities ``p`` whose cumulative sum,
+    divided by its last entry, is ``cdf``: the indices, and the stream
+    state after, of ``rng.choice(len(p), size=n, p=p)``, without
+    re-deriving the CDF."""
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, cdf,
                       video_author, video_category, video_quality, video_promotion, emb):
     """One session's videos, retrieval sources and watch times; its planted
-    contributions go to ``gt``."""
+    contributions go to ``gt``. ``cdf`` is the cumulative feed popularity
+    of the videos, normalized to end at 1."""
     mean_pages = cfg.base_pages * (1.0 + cfg.position_bias_strength * activity)
     pages = int(urng.geometric(1.0 / max(mean_pages, 1.0)))
     pages = min(max(pages, 1), cfg.max_pages)
@@ -261,7 +274,7 @@ def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, po
         from_pref = urng.random(n) < cfg.pref_watch_prob
     else:
         from_pref = np.zeros(n, dtype=bool)
-    vids = urng.choice(len(pop), size=n, p=pop)
+    vids = draw_from_cdf(urng, cdf, n)
     n_pref = int(from_pref.sum())
     if n_pref:
         vids[from_pref] = pref_videos[urng.integers(0, len(pref_videos), size=n_pref)]

@@ -347,7 +347,7 @@ def test_criterion_12_end_to_end_deterministic(tmp_path):
         statuses = run_stages(STAGES, cfg, d)
         assert statuses == {s: "ok" for s in STAGES}
         assert time.monotonic() - start < 15 * 60
-    for name in ("dataset.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
+    for name in ("dataset.txt", "videos.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
                  "aggregates.txt", "diagnostics.txt", "params.txt",
                  "loss_trace.txt", "metrics.txt", "replay.txt", "report.txt"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name

@@ -55,6 +55,20 @@ def test_loader_rejects_corrupt_artifact_with_path_and_line(
     assert f"{path}:{line_no}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("corrupt", [_bad_header, _cut_last_line, _malformed_last_field])
+def test_dataset_rejects_corrupt_video_table_with_path_and_line(corrupt, artifact_dir, tmp_path):
+    """``load_dataset`` reads the per-video table beside ``dataset.txt`` as
+    strictly as the log itself."""
+    shutil.copy(artifact_dir / "dataset.txt", tmp_path / "dataset.txt")
+    lines = (artifact_dir / "videos.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad, line_no = corrupt(lines)
+    path = tmp_path / "videos.txt"
+    path.write_text("".join(bad), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        datamodel.load_dataset(tmp_path / "dataset.txt")
+    assert f"{path}:{line_no}:" in str(exc.value)
+
+
 def test_params_rejects_non_numeric_value(artifact_dir, tmp_path):
     """A ``P`` record with one bad value among its numbers, of the right
     count for its shape, fails with the line of that record."""

@@ -144,7 +144,7 @@ class TestBehaviour:
         assert (tmp_path / "report.txt").exists()
 
 
-ARTIFACTS = ("dataset.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
+ARTIFACTS = ("dataset.txt", "videos.txt", "groundtruth.txt", "tables.txt", "labeled.txt",
              "aggregates.txt", "diagnostics.txt", "params.txt", "loss_trace.txt",
              "metrics.txt", "metrics_summary.txt", "replay.txt", "report.txt",
              "plot_page_slide.txt", "plot_quantiles.txt", "plot_slide_hist.txt")

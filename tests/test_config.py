@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltvrank import datamodel
+from ltvrank import datamodel, pdq
 from ltvrank.config import (
     ConfigError,
     DEFAULTS,
@@ -140,7 +140,7 @@ class TestPipeline:
             for name in STAGE_FILES[stage][1]:
                 head = (workdir / name).read_text().splitlines()[:2]
                 assert head[1] == f"#meta key={keys[stage]} seed={config['seed']}", name
-        assert len(writer) == 15 and len(set(keys.values())) == len(STAGES)
+        assert len(writer) == 16 and len(set(keys.values())) == len(STAGES)
         assert declared_keys("gen") == sorted(
             k for k in DEFAULTS if k == "seed" or k.startswith("gen."))
 
@@ -225,6 +225,23 @@ def test_stage_reads_exactly_its_declared_keys(stage, pipeline_dir, tmp_path):
     config.values = _RecordingValues(config.values)
     RUNNERS[stage](config, copy, "key=0 seed=0", {})
     assert sorted(config.values.read) == declared_keys(stage)
+
+
+def test_labels_computes_slide_times_once(pipeline_dir, tmp_path, monkeypatch):
+    """The labels stage hands its one slide-time column to ``fit_tables``
+    and ``build_pdq_labels`` instead of each recomputing it."""
+    workdir, config, _ = pipeline_dir
+    copy = tmp_path / "work"
+    shutil.copytree(workdir, copy)
+    calls = []
+    for module in (datamodel, pdq):
+        monkeypatch.setattr(module, "slide_times", lambda *a, _f=module.slide_times, **k:
+                            calls.append(1) or _f(*a, **k))
+    RUNNERS["labels"](config, copy, "key=0 seed=0", {})
+    assert len(calls) == 1
+    for name in STAGE_FILES["labels"][1]:
+        assert (copy / name).read_text().splitlines()[2:] == \
+            (workdir / name).read_text().splitlines()[2:], name
 
 
 def test_traced_functions_exist():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ltvrank import fusion
 from ltvrank.fusion import (
     FusionWeights,
     fused_score,
@@ -157,6 +158,27 @@ class TestReplay:
                     days, n_seeds=3)
         held_out = [s.session_id for s in ds.sessions if s.day in days]
         assert calls == held_out
+
+    def test_shared_slates_change_no_draw(self, small_corpus, monkeypatch):
+        """``replay_eval``'s replays share the scored and ordered sessions,
+        fusing each once per weighting, and still give each seed the
+        outcomes of replays that share nothing."""
+        ds, gt = small_corpus
+        scorer = affinity_scorer(gt)
+        days = [max(s.day for s in ds.sessions)]
+        weights, baseline = FusionWeights(1.0, 1.0, 2.0), FusionWeights(1.0, 1.0, 0.0)
+        fusions = []
+        monkeypatch.setattr(fusion, "fused_score",
+                            lambda p, w, _f=fusion.fused_score: fusions.append(1) or _f(p, w))
+        report = replay_eval(ds, gt, SMALL_GEN, scorer, weights, baseline, days,
+                             n_seeds=3, base_seed=4)
+        held_out = sum(1 for s in ds.sessions if s.day in days)
+        assert len(fusions) == 2 * held_out
+        for k in range(3):
+            test = replay(ds, gt, SMALL_GEN, scorer, weights, days, seed=4 + k)
+            base = replay(ds, gt, SMALL_GEN, scorer, baseline, days, seed=4 + k)
+            for m in ("vv", "watch", "qa_watch", "lt_n"):
+                assert report.per_seed[m][k] == getattr(test, m) - getattr(base, m), (k, m)
 
     def test_save_report(self, small_corpus, tmp_path):
         ds, gt = small_corpus

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvrank.datamodel import session_slide_times
+from ltvrank.datamodel import session_slide_times, slide_times
 from ltvrank.pdq import (
     PageGroupSpec,
     QuantileTable,
@@ -184,6 +184,17 @@ class TestBuildLabels:
         tables.pop(0)
         with pytest.raises(KeyError, match="page group 0"):
             build_pdq_labels(small_dataset, spec, tables)
+
+
+def test_given_slide_times_change_nothing(small_dataset):
+    """Tables and labels from slide times the caller already holds equal
+    those computed from the dataset."""
+    spec = fit_page_groups(small_dataset, mode="table4")
+    slide = slide_times(small_dataset, Q=120.0)
+    tables = fit_tables(small_dataset, spec, Q=120.0)
+    assert fit_tables(small_dataset, spec, Q=120.0, slide=slide) == tables
+    assert np.array_equal(build_pdq_labels(small_dataset, spec, tables, Q=120.0, slide=slide),
+                          build_pdq_labels(small_dataset, spec, tables, Q=120.0))
 
 
 def test_tables_round_trip(tmp_path, small_dataset):

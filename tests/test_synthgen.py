@@ -4,6 +4,7 @@ import pytest
 from ltvrank.datamodel import session_slide_times, validate_session
 from ltvrank.synthgen import (
     GenConfig,
+    draw_from_cdf,
     empirical_zero_fraction,
     generate,
     load_ground_truth,
@@ -178,3 +179,19 @@ class TestGroundTruth:
         path.write_text("#wrong\n")
         with pytest.raises(ValueError, match="bad header"):
             load_ground_truth(path)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cdf_draw_matches_generator_choice(seed):
+    """``draw_from_cdf`` draws ``Generator.choice``'s indices and leaves the
+    stream in the state ``choice`` leaves it, so a numpy whose ``choice``
+    draws otherwise shows here rather than as a changed log."""
+    rng = np.random.default_rng(seed)
+    p = rng.lognormal(size=int(rng.integers(1, 3000)))
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for n in (0, 1, 2, 17, 1000):
+        ours, numpy_ = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        assert np.array_equal(draw_from_cdf(ours, cdf, n), numpy_.choice(len(p), size=n, p=p))
+        assert ours.bit_generator.state == numpy_.bit_generator.state
