@@ -119,6 +119,13 @@ def _meta_line(path) -> str | None:
         return None
 
 
+def meta_of(path) -> str | None:
+    """``<meta>`` of a ``#meta <meta>`` second line of ``path``; None if
+    ``path`` is missing or its second line is not of that form."""
+    line = _meta_line(path)
+    return line[len("#meta "):].rstrip("\n") if line and line.startswith("#meta ") else None
+
+
 def has_meta(path, meta: str) -> bool:
     """Whether ``path`` exists and its second line is ``#meta <meta>``."""
     return _meta_line(path) == f"#meta {meta}\n"

@@ -395,8 +395,9 @@ def load_dataset(path) -> Dataset:
     and v2v tuples.
 
     Raises DatasetFormatError with ``path:line`` of the file at fault on a
-    malformed record, a missing table, table ids that do not strictly
-    increase, an embedding whose dimension differs from the first, a table
+    malformed record, a missing table, a table whose ``#meta`` line is not
+    the log's (or one has none and the other does), table ids that do not
+    strictly increase, an embedding whose dimension differs from the first, a table
     row that no impression references, an impression whose video has no
     table row, or a break of ``validate_session``'s rules (``video_faults``
     per video, then ``row_faults``), naming the video or session and field.
@@ -407,6 +408,10 @@ def load_dataset(path) -> Dataset:
     table_path = video_table_path(path)
     if not table_path.exists():
         raise DatasetFormatError(table_path, 1, f"missing: the per-video table of {path}")
+    meta, table_meta = artifacts.meta_of(path), artifacts.meta_of(table_path)
+    if table_meta != meta:
+        raise DatasetFormatError(table_path, 2, f"#meta {table_meta!r} is not the #meta "
+                                                f"{meta!r} of {path}: another log's table")
     table = artifacts.read(table_path, "videos", _parse_video)
     ids = np.fromiter((t[0] for t in table), dtype=np.int64, count=len(table))
     emb = np.fromiter((t[1] for t in table), dtype=object, count=len(table))

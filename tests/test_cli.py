@@ -88,6 +88,20 @@ class TestExitCodes:
         assert run(stage, tmp_path) == 1
         assert f"{path}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, key", [
+        ("train.embedding_dim=0", "embedding_dim"),
+        ("train.learning_rate=-0.05", "learning_rate"),
+        ("train.learning_rate=nan", "learning_rate"),
+        ("train.accumulator_decay=1.5", "accumulator_decay"),
+    ], ids=["embedding-dim", "negative-lr", "nan-lr", "decay"])
+    def test_invalid_training_setting_exit_one(self, tmp_path, capsys, setting, key):
+        assert run("all", tmp_path, "--set", setting) == 1
+        out, err = capsys.readouterr()
+        assert "ltvrank labels: ok" in out and "ltvrank train" not in out
+        assert "validation error" in err and key in err
+        assert not (tmp_path / "params.txt").exists()
+        assert not (tmp_path / "loss_trace.txt").exists()
+
     def test_labels_of_other_dataset_exit_one(self, tmp_path, capsys):
         own, other = tmp_path / "own", tmp_path / "other"
         for workdir, seed in ((own, "1"), (other, "2")):

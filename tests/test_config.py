@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,8 @@ def test_tracer_counts_work_of_a_traced_run(tmp_path):
     and counts the rows each encode call received, the pairs of each
     session's attribution (through ``Session.records``) and the calls of
     ``backward`` and ``save_params``, so a change to the shape of a traced
-    function's arguments shows up here."""
+    function's arguments shows up here. Training calls ``forward`` as often
+    as ``backward``, so the per-layer spans cover every step."""
     root = Path(__file__).resolve().parent.parent
     sets = [arg for k, v in TINY.items() for arg in ("--set", f"{k}={v}")]
     out = tmp_path / "trace"
@@ -272,3 +274,11 @@ def test_tracer_counts_work_of_a_traced_run(tmp_path):
     assert totals["author_ltv.plan_dual_stream"]["calls"] > 0
     assert totals["predictor.backward"]["calls"] > 0
     assert totals["predictor.save_params"]["calls"] == 1
+    # every training step runs forward and backward through the traced
+    # module attributes, so each has one span per step under the train span
+    spans = [line.split("\t") for line in
+             (out / "spans.tsv").read_text().splitlines()[1:]]
+    train_spans = {index for index, name, *_ in spans if name == "predictor.train"}
+    under_train = Counter(name for _, name, _, _, parent in spans if parent in train_spans)
+    assert under_train["predictor.forward"] == under_train["predictor.backward"] \
+        == totals["predictor.backward"]["calls"] > 0

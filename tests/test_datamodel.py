@@ -272,6 +272,29 @@ class TestVideoTable:
         with pytest.raises(DatasetFormatError, match=f"{video_table_path(p)}:1: missing"):
             load_dataset(p)
 
+    def test_table_of_another_log_rejected(self, tmp_path, capsys):
+        """The ``videos.txt`` of another corpus over the same video ids is
+        refused by its ``#meta`` line; the CLI, whose stage check reads the
+        same line, exits 1 naming the table."""
+        import shutil
+
+        from ltvrank.cli import main
+
+        sets = ["--set", "gen.n_users=200", "--set", "gen.n_videos=100"]
+        for seed in (0, 1):
+            assert main(["gen", "--workdir", str(tmp_path / str(seed)),
+                         "--seed", str(seed), *sets]) == 0
+        p = tmp_path / "1" / "dataset.txt"
+        table = video_table_path(p)
+        own = table.read_text().splitlines()[1]
+        shutil.copy(tmp_path / "0" / "videos.txt", table)
+        assert table.read_text().splitlines()[1] != own
+        with pytest.raises(DatasetFormatError, match=f"{table}:2: #meta .* is not the #meta"):
+            load_dataset(p)
+        capsys.readouterr()
+        assert main(["labels", "--workdir", str(tmp_path / "1"), "--seed", "1", *sets]) == 1
+        assert str(table) in capsys.readouterr().err
+
     def _table_lines(self, p):
         return video_table_path(p).read_text().splitlines(keepends=True)
 

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ltvrank import predictor
 from ltvrank.pdq import PageGroupSpec, TABLE4_BOUNDARIES
 from ltvrank.predictor import (
     FEATURE_FIELDS,
@@ -14,7 +16,9 @@ from ltvrank.predictor import (
     StreamData,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     _loss_grad,
+    _train_step,
     _transform_grad,
     backward,
     encode_features,
@@ -29,6 +33,7 @@ from ltvrank.predictor import (
     tweedie_loss,
 )
 
+import predictor_oracle
 from conftest import make_session, random_session
 
 
@@ -125,6 +130,16 @@ class TestForward:
         assert np.all(preds["watch"] > 0)
         assert np.all(preds["attr"] > 0)
 
+    @pytest.mark.parametrize("field, value", [("user", VOCAB["user"] + 1), ("video", -1)])
+    def test_feature_id_outside_its_table_rejected(self, field, value):
+        """An id past its own table raises instead of reading a row of the
+        next table in the packed block."""
+        params = PredictorParams.init(TrainConfig(seed=6))
+        feats = random_features(np.random.default_rng(4), 8)
+        feats[3, FEATURE_FIELDS.index(field)] = value
+        with pytest.raises(IndexError):
+            forward(params, feats)
+
     def test_predict_matches_forward_chunked(self):
         params = PredictorParams.init(TrainConfig(seed=5))
         feats = random_features(np.random.default_rng(3), 50)
@@ -181,6 +196,18 @@ class TestTrainConfig:
             TrainConfig(lam=-1.0).validate()
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0).validate()
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"embedding_dim": 0}, "embedding_dim must be >= 1"),
+        ({"learning_rate": -0.05}, "learning_rate must be finite and >= 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and >= 0"),
+        ({"accumulator_decay": 1.5}, "accumulator_decay must be in"),
+        ({"accumulator_decay": 0.0}, "accumulator_decay must be in"),
+    ], ids=["embedding-dim", "negative-lr", "inf-lr", "decay-above-one", "decay-zero"])
+    def test_validate_rejects_training_settings(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**setting).validate()
+        TrainConfig(accumulator_decay=1.0).validate()
 
     def test_loss_override(self):
         cfg = TrainConfig(head_losses={"watch": "mse"})
@@ -257,6 +284,10 @@ class TestTraining:
         assert info.value.step == info.value.epoch
         assert f"at epoch {info.value.epoch}, optimizer step {info.value.step}" \
             in str(info.value)
+        # the failing step's gradient norms name the failing head's tower
+        # and the backbone
+        assert sorted(info.value.grad_norms) == ["backbone", "slide"]
+        assert "slide=" in str(info.value) and "backbone=" in str(info.value)
 
 
 def dense_embedding_grads(params, cache, head_grads):
@@ -328,6 +359,96 @@ class TestRowSparseEmbeddings:
             assert np.array_equal(bits(opt.acc[k]), bits(acc[k])), k
         assert bits(sparse.arrays["emb/video"][VOCAB["video"]]).tolist() == \
             bits(np.full(cfg.embedding_dim, -0.0)).tolist()
+
+
+def oracle_days(rng):
+    """Three days of standard and delayed streams: the second day labels
+    only two standard heads and has no delayed stream. No stream's length is
+    a multiple of 64, so each ends in a short batch."""
+    def feats(n):
+        return np.column_stack([rng.integers(0, min(VOCAB[f], 300) + 1, size=n)
+                                for f in FEATURE_FIELDS]).astype(np.int64)
+
+    def labels(h, n):
+        return rng.random(n) if h == "pdq" else rng.gamma(1.0, 5.0, size=n)
+
+    days = []
+    for n, nd, heads in ((150, 70, ("pdq", "slide", "attr", "watch")),
+                         (90, 0, ("slide", "watch")),
+                         (200, 130, ("pdq", "slide", "attr", "watch"))):
+        std = StreamData(feats(n), {h: labels(h, n) for h in heads})
+        delayed = StreamData(feats(nd), {"author": labels("author", nd)}) if nd else None
+        days.append((std, delayed))
+    return days
+
+
+class TestPackedTrainingMatchesOracle:
+    @pytest.mark.parametrize("batch_size", [64, 512])
+    def test_params_accumulators_and_trace_bitwise(self, monkeypatch, batch_size):
+        """``train`` on the packed buffers gives the per-array oracle's
+        params, accumulators and loss trace bit for bit, with mse, hybrid
+        (attr, author) and tweedie (watch) losses, a head subset that must
+        not decay the towers it skips, and short last batches."""
+        opts = []
+
+        class Recording(AdaptiveAccumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(predictor, "AdaptiveAccumulator", Recording)
+        days = oracle_days(np.random.default_rng(31))
+        heads = ("pdq", "slide", "attr", "author", "watch")
+        cfg = TrainConfig(batch_size=batch_size, epochs=3, seed=4,
+                          head_losses={"watch": "tweedie"})
+        params, trace = train(days, cfg, heads=heads)
+        arrays, opt, oracle_trace = predictor_oracle.train(days, cfg, heads)
+        assert trace == oracle_trace
+        assert opts[0].steps == opt.steps
+        assert sorted(params.arrays) == sorted(arrays)
+        for k in arrays:
+            assert np.array_equal(bits(params.arrays[k]), bits(arrays[k])), k
+            assert np.array_equal(bits(opts[0].acc[k]), bits(opt.acc[k])), k
+
+    def test_init_is_the_oracle_draw(self):
+        cfg = TrainConfig(seed=17)
+        params = PredictorParams.init(cfg)
+        arrays = predictor_oracle.init_arrays(cfg, tuple(HEAD_SPECS))
+        assert sorted(params.arrays) == sorted(arrays)
+        for k in arrays:
+            assert np.array_equal(bits(params.arrays[k]), bits(arrays[k])), k
+
+    def test_arrays_are_views_of_the_packed_buffers(self):
+        params = PredictorParams.init(TrainConfig(seed=2))
+        for name, arr in params.arrays.items():
+            assert np.shares_memory(arr, params.emb if name.startswith("emb/") else params.dense)
+        # the author tower ends the dense buffer, so an author-only step
+        # updates one slice and a standard step the one before it
+        lo, hi = params.blocks["author"]
+        assert hi == params.dense.size
+        assert max(end for name, (_, end) in params.blocks.items() if name != "author") == lo
+
+    def test_warm_step_allocates_little(self):
+        """After one warm-up step, a 512-row step with the six standard heads
+        allocates less than 1.5 MiB at its peak: the batch-sized
+        intermediates live in the workspace."""
+        rng = np.random.default_rng(3)
+        heads = ("pdq", "slide", "attr", "watch", "completion", "interaction")
+        data = StreamData(random_features(rng, 512), {h: rng.random(512) for h in heads})
+        cfg = TrainConfig()
+        params = PredictorParams.init(cfg, heads=heads)
+        opt = AdaptiveAccumulator(params, cfg.learning_rate, cfg.accumulator_decay)
+        work = Workspace(512)
+        sums, counts = dict.fromkeys(heads, 0.0), dict.fromkeys(heads, 0)
+        idx = np.arange(512)
+        _train_step(params, opt, work, data, idx, heads, cfg, True, sums, counts, 0)
+        tracemalloc.start()
+        try:
+            _train_step(params, opt, work, data, idx, heads, cfg, True, sums, counts, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
 
 
 class TestGradientCheck:
