@@ -11,7 +11,7 @@ Run with:  python3 demos/position_bias_tour.py
 import numpy as np
 
 from ltvrank.datamodel import slide_times
-from ltvrank.pdq import build_pdq_labels, fit_page_groups, fit_tables
+from ltvrank.pdq import PAGE_GROUPS, build_pdq_labels, fit_tables
 from ltvrank.synthgen import GenConfig, generate
 
 
@@ -40,7 +40,7 @@ def main():
           "raw slide\ntime learns to predict the page, not the video.\n")
 
     # quantile labels within page groups
-    spec = fit_page_groups(dataset, mode="table4")
+    spec = PAGE_GROUPS
     tables = fit_tables(dataset, spec)
     labels = build_pdq_labels(dataset, spec, tables)
 

@@ -19,12 +19,11 @@ _EXPORTS = {
         "compute_slide_time", "load_dataset", "save_dataset", "session_slide_times",
         "validate_session"),
     "pdq": (
-        "TABLE4_BOUNDARIES", "PageGroupSpec", "QuantileTable", "bucketize",
-        "fit_page_groups", "fit_quantile_table", "fit_tables", "quantile_label",
-        "quantile_labels"),
+        "PAGE_GROUPS", "TABLE4_BOUNDARIES", "PageGroupSpec", "QuantileTable", "bucketize",
+        "fit_quantile_table", "fit_tables", "quantile_label", "quantile_labels"),
     "attribution": (
-        "FLAG_NAMES", "AttributionConfig", "attributed_slide_time", "combine_strength",
-        "pair_flags", "session_attributed_slide_times", "table1_diagnostics"),
+        "FLAG_NAMES", "AttributionConfig", "attributed_slide_time", "pair_flags",
+        "session_attributed_slide_times", "table1_diagnostics"),
     "author_ltv": (
         "DualStreamBatchPlan", "aggregate_author_days", "audit_no_leakage",
         "author_ltv_label", "plan_dual_stream"),

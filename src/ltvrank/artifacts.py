@@ -110,6 +110,17 @@ def line_of(path, index: int) -> int:
     raise IndexError(f"{path} has no record {index}")
 
 
+def line_no(path, prefix: str | None = None) -> int:
+    """Number of the first line of ``path`` that starts with ``prefix``, or
+    of its last line if none does (or ``prefix`` is None)."""
+    n = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if prefix is not None and line.startswith(prefix):
+                break
+    return n
+
+
 def _meta_line(path) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:

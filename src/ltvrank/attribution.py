@@ -2,10 +2,9 @@
 
 For every ordered pair (j, i) with i > j in a session, seven binary
 sub-dimension flags are computed (adjacency, collection linkage, retrieval
-source, v2v similarity, multimodal similarity, author, category) and
-combined either by sign (binary mode) or by a sigmoid of learnable weights
-(learned mode). The attributed slide time replaces the raw suffix sum with
-a strength-weighted one.
+source, v2v similarity, multimodal similarity, author, category). A pair is
+attributed when any of its flags is set, and the attributed slide time
+replaces the raw suffix sum with the sum over attributed successors.
 
 ``pair_flags`` is the per-pair reference implementation; the session-level
 matrix helpers are the vectorized production path and must agree with it
@@ -14,7 +13,7 @@ exactly (tests enforce this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ class AttributionConfig:
     v2v_threshold: float = 0.5
     mm_threshold: float = 0.9
     adjacency_window: int = 6
-    mode: str = "binary"                      # "binary" | "learned"
-    weights: dict[str, float] = field(default_factory=lambda: {d: 0.0 for d in FLAG_NAMES})
 
     def validate(self) -> None:
         if not 0.0 <= self.v2v_threshold <= 1.0:
@@ -40,11 +37,6 @@ class AttributionConfig:
             raise ValueError(f"mm_threshold must be in [0,1], got {self.mm_threshold}")
         if self.adjacency_window < 0:
             raise ValueError(f"adjacency_window must be >= 0, got {self.adjacency_window}")
-        if self.mode not in ("binary", "learned"):
-            raise ValueError(f"mode must be binary or learned, got {self.mode!r}")
-        missing = set(FLAG_NAMES) - set(self.weights)
-        if missing:
-            raise ValueError(f"missing weights for dimensions: {sorted(missing)}")
 
 
 def _v2v_hit(a, b, threshold: float) -> bool:
@@ -82,14 +74,6 @@ def pair_flags(session: Session, j: int, i: int, config: AttributionConfig) -> d
     cat = 1 if rj.category_id == ri.category_id else 0
     return {"pos": pos, "col": col, "rec": rec, "v2v": v2v, "mm": mm,
             "auth": auth, "cat": cat}
-
-
-def combine_strength(flags: dict[str, int], config: AttributionConfig) -> float:
-    """Binary mode: sgn of the flag sum. Learned mode: sigmoid of weighted sum."""
-    if config.mode == "binary":
-        return 1.0 if sum(flags.values()) > 0 else 0.0
-    z = sum(config.weights[d] * flags[d] for d in FLAG_NAMES)
-    return float(1.0 / (1.0 + np.exp(-z)))
 
 
 def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[str, np.ndarray]:
@@ -141,44 +125,30 @@ def session_flag_matrices(session: Session, config: AttributionConfig) -> dict[s
     }
 
 
-def session_strength_matrix(session: Session, config: AttributionConfig) -> np.ndarray:
-    """Upper-triangular matrix of c_ji (row j, column i; zero elsewhere)."""
-    flags = session_flag_matrices(session, config)
-    n = len(session)
-    idx = np.arange(n)
-    upper = idx[None, :] > idx[:, None]
-    if config.mode == "binary":
-        any_flag = np.zeros((n, n), dtype=bool)
-        for d in FLAG_NAMES:
-            any_flag |= flags[d]
-        return np.where(any_flag, 1.0, 0.0)
-    z = np.zeros((n, n), dtype=np.float64)
-    for d in FLAG_NAMES:
-        z += config.weights[d] * flags[d]
-    return np.where(upper, 1.0 / (1.0 + np.exp(-z)), 0.0)
-
-
 def attributed_slide_time(session: Session, j: int, config: AttributionConfig,
                           Q: float = DEFAULT_CAP_Q) -> float:
-    """Strength-weighted downstream watch-time sum, capped at Q.
+    """Watch-time sum over the successors that any flag attributes to j,
+    capped at Q.
 
     The per-position contributions are reduced with numpy's pairwise
     summation so the result is bitwise identical to the session-level
-    vectorized path in binary mode.
+    vectorized path.
     """
     n = len(session.records)
     contrib = np.zeros(n)
     for i in range(j + 1, n):
-        c = combine_strength(pair_flags(session, j, i, config), config)
-        contrib[i] = c * session.records[i].watch_time
+        if any(pair_flags(session, j, i, config).values()):
+            contrib[i] = session.records[i].watch_time
     return float(min(contrib.sum(), float(Q)))
 
 
 def session_attributed_slide_times(session: Session, config: AttributionConfig,
                                    Q: float = DEFAULT_CAP_Q) -> np.ndarray:
     """attributed_slide_time for every position, sharing pair computations."""
+    flags = session_flag_matrices(session, config)
+    attributed = np.logical_or.reduce([flags[d] for d in FLAG_NAMES])
     t = session["watch_time"]
-    totals = (session_strength_matrix(session, config) * t[None, :]).sum(axis=1)
+    totals = np.where(attributed, t[None, :], 0.0).sum(axis=1)
     return np.minimum(totals, float(Q))
 
 

@@ -134,10 +134,17 @@ def save_aggregates(path, aggregates: Aggregates, meta: str | None = None) -> No
                      for (user, author, day), watch in sorted(aggregates.items())), meta)
 
 
-def _parse_aggregate(parts: list[str]) -> tuple[tuple[int, int, int], float]:
-    user, author, day, watch = parts
-    return (int(user), int(author), int(day)), float(watch)
-
-
 def load_aggregates(path) -> Aggregates:
-    return dict(artifacts.read(path, "author-aggregates", _parse_aggregate))
+    """Read ``save_aggregates``'s records. Raises DatasetFormatError naming
+    ``path:line`` on a malformed record or a repeated (user, author, day)."""
+    aggregates: Aggregates = {}
+
+    def parse(parts: list[str]) -> None:
+        user, author, day, watch = parts
+        key = (int(user), int(author), int(day))
+        if key in aggregates:
+            raise ValueError(f"repeated (user, author, day) {key}")
+        aggregates[key] = float(watch)
+
+    artifacts.read(path, "author-aggregates", parse)
+    return aggregates

@@ -3,6 +3,10 @@
 Every key has a documented default below; unknown keys are rejected with
 the full list of offenders. Each pipeline stage hashes the canonical
 serialization of the keys it reads into the cache key of its artifacts.
+
+Some choices are fixed in code rather than keyed: PDQ's page groups
+(``pdq.PAGE_GROUPS``), the attribution rule (a pair is attributed when any
+flag is set) and each head's loss (``predictor.HEAD_SPECS``).
 """
 
 from __future__ import annotations
@@ -23,13 +27,10 @@ DEFAULTS: dict[str, object] = {
     **{f"gen.{f.name}": f.default for f in fields(GenConfig) if f.name != "seed"},
     # PDQ
     "pdq.T": 50,
-    "pdq.mode": "table4",       # table4 | isofrequency
-    "pdq.M": 7,
     # attribution
     "attribution.v2v_threshold": 0.5,
     "attribution.mm_threshold": 0.9,
     "attribution.adjacency_window": 6,
-    "attribution.mode": "binary",
     # author LTV
     "author.window_n": 7,
     "author.decay_alpha": 0.8,
@@ -100,7 +101,6 @@ class PipelineConfig:
             v2v_threshold=self.values["attribution.v2v_threshold"],
             mm_threshold=self.values["attribution.mm_threshold"],
             adjacency_window=self.values["attribution.adjacency_window"],
-            mode=self.values["attribution.mode"],
         )
 
     def train_config(self) -> TrainConfig:

@@ -1,10 +1,11 @@
 """Position-debiased quantile labels.
 
 Slide times are re-expressed as within-page-group empirical-CDF positions:
-each group gets an isofrequency threshold table with an explicit starting
-index for the censored zero mass, and every impression's label is
-``(B + S_k) / T`` where ``B`` counts the strictly positive thresholds the
-slide time strictly exceeds.
+the page groups are ``PAGE_GROUPS`` (Table 4's boundaries), each group gets
+an isofrequency threshold table with an explicit starting index for the
+censored zero mass, and every impression's label is ``(B + S_k) / T``
+where ``B`` counts the strictly positive thresholds the slide time
+strictly exceeds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .datamodel import Dataset, DEFAULT_CAP_Q, slide_times
 #: Default quantization granularity.
 DEFAULT_T = 50
 
-#: Fixed page-group boundaries: 0 / 1-2 / 3-5 / 6-9 / 10-15 / 16-29 / 30+.
+#: Page-group boundaries: 0 / 1-2 / 3-5 / 6-9 / 10-15 / 16-29 / 30+.
 TABLE4_BOUNDARIES: tuple[tuple[int, int | None], ...] = (
     (0, 1), (1, 3), (3, 6), (6, 10), (10, 16), (16, 30), (30, None),
 )
@@ -69,6 +70,10 @@ class PageGroupSpec:
         return np.searchsorted(edges, page_indices, side="right")
 
 
+#: The page groups of every PDQ label.
+PAGE_GROUPS = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
+
+
 @dataclass(frozen=True)
 class QuantileTable:
     """Isofrequency thresholds for one page group, with zero starting index."""
@@ -87,43 +92,6 @@ class QuantileTable:
         leading_zeros = int(np.sum(np.cumsum(arr != 0.0) == 0))
         if self.S_k != leading_zeros:
             raise ValueError(f"S_k={self.S_k} but table has {leading_zeros} leading zeros")
-
-
-def fit_page_groups(dataset: Dataset, M: int = 7, mode: str = "table4") -> PageGroupSpec:
-    """Partition page indices into M groups.
-
-    ``table4`` returns the fixed 7-group boundaries. ``isofrequency`` picks
-    M boundaries so per-range impression counts are as equal as whole pages
-    allow.
-    """
-    if dataset.n_records() == 0:
-        raise ValueError("dataset is empty")
-    if mode == "table4":
-        return PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-    if mode != "isofrequency":
-        raise ValueError(f"unknown mode {mode!r}")
-    pages = dataset.columns["page_index"]
-    distinct = np.unique(pages)
-    if M > len(distinct):
-        raise ValueError(f"M={M} exceeds {len(distinct)} distinct page indices")
-    if M == 1:
-        return PageGroupSpec(ranges=((0, None),))
-    counts = np.bincount(pages)
-    total = counts.sum()
-    cum = np.cumsum(counts)
-    boundaries = [0]
-    for k in range(1, M):
-        target = total * k / M
-        # first page index whose cumulative count reaches the target
-        b = int(np.searchsorted(cum, target)) + 1
-        b = max(b, boundaries[-1] + 1)
-        boundaries.append(b)
-    ranges = []
-    for i in range(M):
-        lo = boundaries[i]
-        hi = boundaries[i + 1] if i + 1 < M else None
-        ranges.append((lo, hi))
-    return PageGroupSpec(ranges=tuple(ranges))
 
 
 def fit_quantile_table(slide_times, T: int = DEFAULT_T, group: int = 0) -> QuantileTable:
@@ -180,7 +148,8 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
 
     A group too sparse to estimate T quantiles (fewer than T samples but at
     least one) inherits the nearest shallower group's table, so every
-    observed page maps to a usable table.
+    observed page maps to a usable table; raises ValueError if there is
+    none to inherit.
     """
     slide = slide_times(dataset, Q) if slide is None else slide
     groups = spec.group_array(dataset.columns["page_index"])
@@ -190,12 +159,13 @@ def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
         if len(values) >= T:
             tables[k] = fit_quantile_table(values, T=T, group=k)
         elif len(values):
-            donors = [g for g in tables if g < k]
-            if donors:
-                donor = tables[max(donors)]
-                tables[k] = QuantileTable(group=k, T=donor.T,
-                                          thresholds=donor.thresholds,
-                                          S_k=donor.S_k)
+            if not tables:
+                raise ValueError(f"page group {k} has {len(values)} rows, fewer than "
+                                 f"pdq.T={T}, and no shallower group to inherit a "
+                                 f"table from")
+            donor = tables[max(tables)]
+            tables[k] = QuantileTable(group=k, T=donor.T, thresholds=donor.thresholds,
+                                      S_k=donor.S_k)
     return tables
 
 
@@ -226,34 +196,47 @@ def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
 # Sidecar persistence (group, T, S_k, thresholds)
 # ---------------------------------------------------------------------------
 
+def _ranges_field(spec: PageGroupSpec) -> str:
+    return ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in spec.ranges)
+
+
 def save_tables(path, spec: PageGroupSpec, tables: dict[int, QuantileTable],
                 meta: str | None = None) -> None:
-    ranges = ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in spec.ranges)
-    lines = [f"G\t{ranges}"] + [
+    lines = [f"G\t{_ranges_field(spec)}"] + [
         f"Q\t{k}\t{t.T}\t{t.S_k}\t" + ",".join(fmt_real(x) for x in t.thresholds)
         for k, t in sorted(tables.items())]
     artifacts.write(path, "quantile-tables", lines, meta)
 
 
 def load_tables(path) -> tuple[PageGroupSpec, dict[int, QuantileTable]]:
-    specs: list[PageGroupSpec] = []
+    """Read ``save_tables``'s records. Raises DatasetFormatError naming
+    ``path:line`` on a malformed record, a missing or repeated ``G`` record,
+    a ``G`` record other than ``PAGE_GROUPS``'s, or a ``Q`` record whose
+    group is repeated or not in ``PAGE_GROUPS``."""
+    groups = _ranges_field(PAGE_GROUPS)
+    seen_g = False
     tables: dict[int, QuantileTable] = {}
 
     def parse(parts: list[str]) -> None:
+        nonlocal seen_g
         if parts[0] == "G":
-            ranges = []
-            for item in parts[1].split(","):
-                lo, hi = item.split(":")
-                ranges.append((int(lo), None if hi == "inf" else int(hi)))
-            specs.append(PageGroupSpec(ranges=tuple(ranges)))
+            if seen_g:
+                raise ValueError("repeated G record")
+            if parts[1] != groups:
+                raise ValueError(f"page groups {parts[1]!r} are not {groups!r}")
+            seen_g = True
         elif parts[0] == "Q":
             k, T, S_k = int(parts[1]), int(parts[2]), int(parts[3])
+            if not 0 <= k < PAGE_GROUPS.n_groups:
+                raise ValueError(f"group {k} is not in [0, {PAGE_GROUPS.n_groups})")
+            if k in tables:
+                raise ValueError(f"repeated group {k}")
             thresholds = tuple(float(x) for x in parts[4].split(","))
             tables[k] = QuantileTable(group=k, T=T, thresholds=thresholds, S_k=S_k)
         else:
             raise ValueError(f"unknown record tag {parts[0]!r}")
 
     artifacts.read(path, "quantile-tables", parse)
-    if not specs:
-        raise ValueError(f"{path}: missing group spec line")
-    return specs[-1], tables
+    if not seen_g:
+        raise artifacts.DatasetFormatError(path, artifacts.line_no(path), "missing G record")
+    return PAGE_GROUPS, tables

@@ -226,8 +226,7 @@ def _run_gen(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> 
 def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset = _input("dataset.txt", workdir, loaded)
     Q = float(config["cap_q"])
-    spec = pdq.fit_page_groups(dataset, M=int(config["pdq.M"]),
-                               mode=str(config["pdq.mode"]))
+    spec = pdq.PAGE_GROUPS
     slide = datamodel.slide_times(dataset, Q=Q)
     tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q, slide=slide)
     att_cfg = config.attribution_config()

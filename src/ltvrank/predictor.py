@@ -34,7 +34,7 @@ temporaries. ``predict`` and direct calls allocate a workspace per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 #: the dataset columns of the raw ids, one per ``FEATURE_FIELDS`` entry
 ID_COLUMNS = ("user_id", "video_id", "author_id", "category_id", "page_index")
 
-#: head name -> (output transform, default loss)
+#: head name -> (output transform, training loss)
 HEAD_SPECS: dict[str, tuple[str, str]] = {
     "pdq": ("sigmoid", "mse"),
     "slide": ("identity", "mse"),
@@ -105,7 +105,6 @@ class TrainConfig:
     hidden_sizes: tuple[int, int] = (64, 32)
     tower_size: int = 16
     seed: int = 0
-    head_losses: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         if not 1.0 < self.rho < 2.0:
@@ -122,9 +121,6 @@ class TrainConfig:
         if not 0.0 < self.accumulator_decay <= 1.0:
             raise ValueError(f"accumulator_decay must be in (0, 1], "
                              f"got {self.accumulator_decay}")
-
-    def loss_for(self, head: str) -> str:
-        return self.head_losses.get(head, HEAD_SPECS[head][1])
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +590,7 @@ def _train_step(params, opt, work: Workspace, data: StreamData, idx, heads,
     head_grads = {}
     for h in active:
         y = data.labels[h][idx]
-        name = config.loss_for(h)
+        name = HEAD_SPECS[h][1]
         value = loss_value(name, preds[h], y, config.lam, config.rho)
         if not np.isfinite(value):
             raise TrainingDiverged(h, epoch, opt.steps, _grad_norms(
@@ -612,7 +608,7 @@ def _grad_norms(params, cache, data: StreamData, idx, active, config: TrainConfi
     """The L2 norm of a failing step's gradient for each active head's tower
     and, on a shared step, for the backbone."""
     with np.errstate(all="ignore"):
-        head_grads = {h: _loss_grad(config.loss_for(h), cache[-1][h][3], data.labels[h][idx],
+        head_grads = {h: _loss_grad(HEAD_SPECS[h][1], cache[-1][h][3], data.labels[h][idx],
                                     config.lam, config.rho) for h in active}
         grads = backward(params, cache, head_grads, shared=shared, work=work)
     blocks = (("backbone",) if shared else ()) + active
@@ -758,7 +754,8 @@ def load_params(path) -> PredictorParams:
     artifacts.read(path, "params", parse)
     for tag in ("H", "V", "I"):
         if tag not in records:
-            raise artifacts.DatasetFormatError(path, _line_no(path), f"missing {tag} record")
+            raise artifacts.DatasetFormatError(path, artifacts.line_no(path),
+                                               f"missing {tag} record")
     heads = tuple(records["H"][1].split(","))
     seed, d = int(records["I"][1]), int(records["I"][2])
 
@@ -773,23 +770,13 @@ def load_params(path) -> PredictorParams:
         size(f"tower/{heads[0]}/b"), heads))
     for name in expected:
         if name not in arrays:
-            raise artifacts.DatasetFormatError(path, _line_no(path), f"missing array {name!r}")
+            raise artifacts.DatasetFormatError(path, artifacts.line_no(path),
+                                               f"missing array {name!r}")
     for name, arr in arrays.items():
         if expected.get(name) != arr.shape:
             found = "unexpected array" if name not in expected else (
                 f"shape {arr.shape} is not {expected[name]}")
-            raise artifacts.DatasetFormatError(path, _line_no(path, f"P\t{name}\t"),
+            raise artifacts.DatasetFormatError(path, artifacts.line_no(path, f"P\t{name}\t"),
                                                f"{name!r}: {found}")
     return PredictorParams._packed(
         emb, {name: arr for name, arr in arrays.items() if name not in init}, heads, seed)
-
-
-def _line_no(path, prefix: str | None = None) -> int:
-    """Number of the first line of ``path`` that starts with ``prefix``, or
-    of its last line if none does (or ``prefix`` is None)."""
-    n = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if prefix is not None and line.startswith(prefix):
-                break
-    return n

@@ -373,13 +373,20 @@ def save_ground_truth(path, gt: GroundTruth, meta: str | None = None) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
+    """Read ``save_ground_truth``'s records. Raises DatasetFormatError naming
+    ``path:line`` on a malformed record, a ``U``, ``V`` or ``A`` record whose
+    id is not the count of that tag's records before it, or a repeated ``C``
+    key."""
     users: list[tuple[float, float, dict[int, float]]] = []
     videos: list[tuple[int, int, int, float, float]] = []
     authors: list[float] = []
     contributions: dict[tuple[int, int], tuple[float, tuple[tuple[int, float], ...]]] = {}
+    indexed = {"U": users, "V": videos, "A": authors}
 
     def parse(parts: list[str]) -> None:
         tag = parts[0]
+        if tag in indexed and int(parts[1]) != len(indexed[tag]):
+            raise ValueError(f"{tag} record for id {parts[1]}, expected id {len(indexed[tag])}")
         if tag == "U":
             affs = {}
             if parts[4]:
@@ -393,12 +400,15 @@ def load_ground_truth(path) -> GroundTruth:
         elif tag == "A":
             authors.append(float(parts[2]))
         elif tag == "C":
+            key = (int(parts[1]), int(parts[2]))
+            if key in contributions:
+                raise ValueError(f"repeated C record for session {key[0]}, index {key[1]}")
             contribs = []
             if parts[4]:
                 for item in parts[4].split(","):
                     gap, val = item.split(":")
                     contribs.append((int(gap), float(val)))
-            contributions[(int(parts[1]), int(parts[2]))] = (float(parts[3]), tuple(contribs))
+            contributions[key] = (float(parts[3]), tuple(contribs))
         else:
             raise ValueError(f"unknown record tag {tag!r}")
 

@@ -119,7 +119,7 @@ def train(days, config, heads):
         head_grads = {}
         for h in active:
             y = data.labels[h][idx]
-            name = config.loss_for(h)
+            name = HEAD_SPECS[h][1]
             value = loss_value(name, preds[h], y, config.lam, config.rho)
             if not np.isfinite(value):
                 raise TrainingDiverged(h, epoch, opt.steps, {})

@@ -28,9 +28,9 @@ from ltvrank.datamodel import session_slide_times
 from ltvrank.fusion import FusionWeights, replay_eval
 from ltvrank.metrics import pcoc, xauc, xauc_grouped, xauc_pair_counts
 from ltvrank.pdq import (
+    PAGE_GROUPS,
     PageGroupSpec,
     build_pdq_labels,
-    fit_page_groups,
     fit_quantile_table,
     fit_tables,
     quantile_label,
@@ -80,7 +80,7 @@ def debias_models(corpora):
     """
     results = []
     for s, (ds, _) in enumerate(corpora):
-        spec = fit_page_groups(ds, mode="table4")
+        spec = PAGE_GROUPS
         tables = fit_tables(ds, spec)
         pdq_labels = build_pdq_labels(ds, spec, tables)
         slide = np.concatenate([session_slide_times(sess) for sess in ds.sessions])
@@ -209,9 +209,9 @@ def test_criterion_06_hybrid_loss_improves_calibration():
         tr, te = slice(0, 20000), slice(20000, n)
         day = [(StreamData(features=X[tr], labels={"watch": y[tr]}), None)]
         preds = {}
-        for name, losses in (("hybrid", {}), ("mse", {"watch": "mse"})):
-            cfg = TrainConfig(epochs=3, learning_rate=0.005, seed=seed,
-                              head_losses=losses)
+        # lam=0 drops the hybrid loss's Tweedie term, leaving MSE
+        for name, extra in (("hybrid", {}), ("mse", {"lam": 0.0})):
+            cfg = TrainConfig(epochs=3, learning_rate=0.005, seed=seed, **extra)
             params, _ = train(day, cfg, heads=("watch",))
             preds[name] = predict(params, X[te])["watch"]
         gap_hybrid = abs(pcoc(preds["hybrid"], y[te]) - 1.0)

@@ -202,3 +202,78 @@ def test_eval_exits_one_on_params_without_records(artifact_dir, tmp_path, capsys
     assert main(["eval", "--workdir", str(tmp_path), *sets]) == 1
     err = capsys.readouterr().err
     assert f"{params}:2: missing H record" in err
+
+
+def _repeat_first(prefix, message):
+    """Repeat the first line that starts with ``prefix`` right after it."""
+    def edit(lines):
+        i = _line_index(lines, prefix)
+        return lines[:i + 1] + [lines[i]] + lines[i + 1:], i + 2, message
+    return edit
+
+
+def _drop_line(prefix, message):
+    """Drop the line that starts with ``prefix``; the next record takes its
+    line number."""
+    def edit(lines):
+        i = _line_index(lines, prefix)
+        return lines[:i] + lines[i + 1:], i + 1, message
+    return edit
+
+
+def _swap_first_two(prefix, message):
+    def edit(lines):
+        i = _line_index(lines, prefix)
+        return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:], i + 1, message
+    return edit
+
+
+def _replace_field(prefix, field, value, message):
+    """Set field ``field`` of the first line that starts with ``prefix``."""
+    def edit(lines):
+        i = _line_index(lines, prefix)
+        fields = lines[i].rstrip("\n").split("\t")
+        fields[field] = value
+        return lines[:i] + ["\t".join(fields) + "\n"] + lines[i + 1:], i + 1, message
+    return edit
+
+
+def _last_q_group(lines):
+    i = max(i for i, line in enumerate(lines) if line.startswith("Q\t"))
+    fields = lines[i].split("\t")
+    bad = lines[:i] + ["\t".join(["Q", "7"] + fields[2:])] + lines[i + 1:]
+    return bad, i + 1, "group 7 is not in [0, 7)"
+
+
+#: (loader, defect) -> edit returning (lines, line number, message)
+RECORD_DEFECTS = {
+    ("groundtruth", "user-dropped"): _drop_line("U\t5\t", "U record for id 6, expected id 5"),
+    ("groundtruth", "videos-swapped"): _swap_first_two(
+        "V\t", "V record for id 1, expected id 0"),
+    ("groundtruth", "author-dropped"): _drop_line("A\t0\t", "A record for id 1, expected id 0"),
+    ("groundtruth", "contribution-repeated"): _repeat_first(
+        "C\t", "repeated C record for session 0, index 0"),
+    ("aggregates", "key-repeated"): _repeat_first("0\t0\t0\t", "repeated (user, author, day)"),
+    ("tables", "no-G"): _drop("G\t", "missing G record"),
+    ("tables", "G-repeated"): _repeat_first("G\t", "repeated G record"),
+    ("tables", "G-foreign"): _replace_field("G\t", 1, "0:1,1:inf", "page groups '0:1,1:inf'"),
+    ("tables", "Q-repeated"): _repeat_first("Q\t", "repeated group 0"),
+    ("tables", "Q-outside-groups"): _last_q_group,
+}
+
+
+@pytest.mark.parametrize("loader, defect", sorted(RECORD_DEFECTS),
+                         ids=[f"{loader}-{defect}" for loader, defect in sorted(RECORD_DEFECTS)])
+def test_loader_rejects_inconsistent_records(loader, defect, artifact_dir, tmp_path):
+    """A record that another one contradicts fails with ``path:line``
+    instead of being adopted: an id out of sequence, a repeated key, page
+    groups other than ``pdq.PAGE_GROUPS``, or a missing ``G`` record (at
+    the last line)."""
+    load, name = LOADERS[loader]
+    lines = (artifact_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    bad, line_no, message = RECORD_DEFECTS[loader, defect](lines)
+    path = tmp_path / name
+    path.write_text("".join(bad), encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as exc:
+        load(path)
+    assert f"{path}:{line_no}:" in str(exc.value) and message in str(exc.value)

@@ -5,16 +5,14 @@ from ltvrank.attribution import (
     FLAG_NAMES,
     AttributionConfig,
     attributed_slide_time,
-    combine_strength,
     pair_flags,
     session_attributed_slide_times,
     session_flag_matrices,
-    session_strength_matrix,
     table1_diagnostics,
 )
 from ltvrank.datamodel import compute_slide_time
 
-from conftest import as_dataset, make_session, random_session, unit_embedding
+from conftest import DEFAULT_DIM, as_dataset, make_session, random_session, unit_embedding
 
 
 CFG = AttributionConfig()
@@ -46,11 +44,7 @@ def brute_force_attributed(session, j, config, Q=300.0):
         flags["mm"] = int(cos > config.mm_threshold)
         flags["auth"] = int(rj.author_id == ri.author_id)
         flags["cat"] = int(rj.category_id == ri.category_id)
-        if config.mode == "binary":
-            c = 1.0 if sum(flags.values()) > 0 else 0.0
-        else:
-            z = sum(config.weights[d] * flags[d] for d in FLAG_NAMES)
-            c = 1.0 / (1.0 + np.exp(-z))
+        c = 1.0 if sum(flags.values()) > 0 else 0.0
         total += c * ri.watch_time
     return min(total, Q)
 
@@ -89,30 +83,50 @@ class TestPairFlags:
 
 
 class TestCombineStrength:
+    """A pair's strength is 1 when any of its flags is set, else 0: j is
+    credited with all of i's watch time or with none of it."""
+
     def test_binary_zero(self):
-        assert combine_strength({d: 0 for d in FLAG_NAMES}, CFG) == 0.0
+        sess = make_session([1.0, 10.0, 20.0])
+        cfg = AttributionConfig(adjacency_window=0)
+        assert not any(pair_flags(sess, 0, 1, cfg).values())
+        assert not any(pair_flags(sess, 0, 2, cfg).values())
+        assert attributed_slide_time(sess, 0, cfg) == 0.0
+        assert session_attributed_slide_times(sess, cfg)[0] == 0.0
 
     def test_binary_any_flag(self):
-        for d in FLAG_NAMES:
-            flags = {k: int(k == d) for k in FLAG_NAMES}
-            assert combine_strength(flags, CFG) == 1.0
-
-    def test_learned_zero_weights(self):
-        cfg = AttributionConfig(mode="learned")
-        assert combine_strength({d: 1 for d in FLAG_NAMES}, cfg) == 0.5
-
-    def test_learned_weight_monotonicity(self):
-        flags = {d: int(d == "auth") for d in FLAG_NAMES}
-        lo = AttributionConfig(mode="learned")
-        hi = AttributionConfig(mode="learned")
-        hi.weights["auth"] = 2.0
-        assert combine_strength(flags, hi) > combine_strength(flags, lo)
+        """Each flag alone credits the pair in full."""
+        same = unit_embedding(DEFAULT_DIM, 0)
+        cases = {  # flag -> (session, adjacency window, the flagged successor)
+            "pos": (make_session([1.0, 10.0]), 6, 1),
+            # record 1 shares record 2's collection inside record 0's window;
+            # it watches nothing, so only the pair (0, 2) adds credit
+            "col": (make_session([1.0, 0.0, 10.0], collections=[None, 9, 9]), 1, 2),
+            "rec": (make_session([1.0, 10.0], sources=[5, 5]), 0, 1),
+            "v2v": (make_session([1.0, 10.0], v2v=[((1001, 0.9),), ()]), 0, 1),
+            "mm": (make_session([1.0, 10.0], embeddings=[same, same]), 0, 1),
+            "auth": (make_session([1.0, 10.0], authors=[7, 7]), 0, 1),
+            "cat": (make_session([1.0, 10.0], cats=[3, 3]), 0, 1),
+        }
+        assert sorted(cases) == sorted(FLAG_NAMES)
+        for d, (sess, window, i) in cases.items():
+            cfg = AttributionConfig(adjacency_window=window)
+            assert pair_flags(sess, 0, i, cfg) == {k: int(k == d) for k in FLAG_NAMES}, d
+            assert attributed_slide_time(sess, 0, cfg) == 10.0, d
+            assert session_attributed_slide_times(sess, cfg)[0] == 10.0, d
 
     def test_binary_equals_flag_or(self):
+        """The vectorized path sums the successors whose ``pair_flags`` are
+        not all zero, bit for bit."""
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            flags = {d: int(rng.random() < 0.3) for d in FLAG_NAMES}
-            assert combine_strength(flags, CFG) == max(flags.values())
+        for k in range(20):
+            sess = random_session(rng, int(rng.integers(2, 12)), session_id=k)
+            t = sess["watch_time"]
+            vec = session_attributed_slide_times(sess, CFG)
+            for j in range(len(sess)):
+                strength = np.array([float(i > j and any(pair_flags(sess, j, i, CFG).values()))
+                                     for i in range(len(sess))])
+                assert vec[j] == min(float((strength * t).sum()), 300.0), (k, j)
 
 
 class TestAttributedSlideTime:
@@ -140,18 +154,15 @@ class TestAttributedSlideTime:
                 assert attributed_slide_time(sess, j, CFG) <= \
                     compute_slide_time(sess, j) + 1e-12
 
-    def test_oracle_equivalence_binary_and_learned(self):
+    def test_oracle_equivalence(self):
         rng = np.random.default_rng(2)
-        learned = AttributionConfig(mode="learned")
-        learned.weights.update({"pos": 0.5, "auth": 1.0, "cat": -0.3})
         for k in range(30):
             sess = random_session(rng, int(rng.integers(2, 12)), session_id=k)
-            for cfg in (CFG, learned):
-                vec = session_attributed_slide_times(sess, cfg)
-                for j in range(len(sess.records)):
-                    expect = brute_force_attributed(sess, j, cfg)
-                    assert attributed_slide_time(sess, j, cfg) == pytest.approx(expect)
-                    assert vec[j] == pytest.approx(expect)
+            vec = session_attributed_slide_times(sess, CFG)
+            for j in range(len(sess.records)):
+                expect = brute_force_attributed(sess, j, CFG)
+                assert attributed_slide_time(sess, j, CFG) == pytest.approx(expect)
+                assert vec[j] == pytest.approx(expect)
 
     def test_flag_matrices_match_pair_flags(self):
         rng = np.random.default_rng(3)

@@ -122,6 +122,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing input" in err and "metrics_summary.txt" in err
 
+    def test_too_small_corpus_exit_one(self, tmp_path, capsys):
+        """A first page group too sparse for ``pdq.T`` quantiles, with no
+        shallower group to inherit a table from, is a validation error."""
+        assert main(["all", "--workdir", str(tmp_path), "--set", "gen.n_users=2",
+                     "--set", "gen.n_days=3", "--set", "gen.n_videos=200",
+                     "--set", "gen.n_authors=20"]) == 1
+        err = capsys.readouterr().err
+        assert "validation error: page group 0 has 24 rows, fewer than pdq.T=50" in err
+
+    @pytest.mark.parametrize("key", ["attribution.mode=binary", "pdq.mode=table4", "pdq.M=7"])
+    def test_removed_key_exit_one(self, tmp_path, capsys, key):
+        assert run("gen", tmp_path, "--set", key) == 1
+        assert f"unknown config keys: {key.split('=')[0]}" in capsys.readouterr().err
+
     def test_runtime_error_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied\n")

@@ -43,10 +43,10 @@ class TestConfig:
 
     def test_coercion_from_strings(self):
         cfg = PipelineConfig({"seed": "7", "train.lam": "0.25",
-                              "pdq.mode": "isofrequency"})
+                              "eval.lt_windows": "1,7"})
         assert cfg["seed"] == 7
         assert cfg["train.lam"] == 0.25
-        assert cfg["pdq.mode"] == "isofrequency"
+        assert cfg["eval.lt_windows"] == "1,7"
 
     def test_coercion_failure_names_key(self):
         with pytest.raises(ConfigError, match="train.epochs"):

@@ -3,12 +3,12 @@ import pytest
 
 from ltvrank.datamodel import session_slide_times, slide_times
 from ltvrank.pdq import (
+    PAGE_GROUPS,
     PageGroupSpec,
     QuantileTable,
     TABLE4_BOUNDARIES,
     bucketize,
     build_pdq_labels,
-    fit_page_groups,
     fit_quantile_table,
     fit_tables,
     load_tables,
@@ -29,26 +29,12 @@ def table(thresholds, S_k=None):
 
 
 class TestPageGroups:
-    def test_table4_mode(self, small_dataset):
-        spec = fit_page_groups(small_dataset, mode="table4")
-        assert spec.ranges == TABLE4_BOUNDARIES
-        assert spec.group_of(4) == 2  # page 4 lives in the 3-5 group
-
-    def test_isofrequency_single_group(self, small_dataset):
-        spec = fit_page_groups(small_dataset, M=1, mode="isofrequency")
-        assert spec.ranges == ((0, None),)
-
-    def test_isofrequency_median_split(self):
-        # uniform page mass over pages 0..3: the 2-way split lands at the median
-        ds = as_dataset(make_session([1.0] * 16))
-        spec = fit_page_groups(ds, M=2, mode="isofrequency")
-        counts = [0] * 2
-        for page in ds.columns["page_index"].tolist():
-            counts[spec.group_of(page)] += 1
-        assert abs(counts[0] - counts[1]) <= 4  # within one page of mass
+    def test_table4_mode(self):
+        assert PAGE_GROUPS.ranges == TABLE4_BOUNDARIES
+        assert PAGE_GROUPS.group_of(4) == 2  # page 4 lives in the 3-5 group
 
     def test_group_array_matches_group_of(self, small_dataset):
-        spec = fit_page_groups(small_dataset, mode="table4")
+        spec = PAGE_GROUPS
         pages = small_dataset.columns["page_index"]
         grouped = spec.group_array(pages)
         for p, g in zip(pages[:200], grouped[:200]):
@@ -179,17 +165,24 @@ class TestBuildLabels:
         assert np.allclose(l0, l1)
 
     def test_missing_table_raises(self, small_dataset):
-        spec = fit_page_groups(small_dataset, mode="table4")
+        spec = PAGE_GROUPS
         tables = fit_tables(small_dataset, spec)
         tables.pop(0)
         with pytest.raises(KeyError, match="page group 0"):
             build_pdq_labels(small_dataset, spec, tables)
 
+    def test_sparse_first_group_raises(self):
+        """A group with too few rows for T quantiles and no shallower group
+        to inherit a table from fails, naming the group, its rows and T."""
+        ds = as_dataset(make_session([1.0] * 8))
+        with pytest.raises(ValueError, match=r"page group 0 has 4 rows, fewer than pdq\.T=10"):
+            fit_tables(ds, PAGE_GROUPS, T=10)
+
 
 def test_given_slide_times_change_nothing(small_dataset):
     """Tables and labels from slide times the caller already holds equal
     those computed from the dataset."""
-    spec = fit_page_groups(small_dataset, mode="table4")
+    spec = PAGE_GROUPS
     slide = slide_times(small_dataset, Q=120.0)
     tables = fit_tables(small_dataset, spec, Q=120.0)
     assert fit_tables(small_dataset, spec, Q=120.0, slide=slide) == tables
@@ -198,7 +191,7 @@ def test_given_slide_times_change_nothing(small_dataset):
 
 
 def test_tables_round_trip(tmp_path, small_dataset):
-    spec = fit_page_groups(small_dataset, mode="table4")
+    spec = PAGE_GROUPS
     tables = fit_tables(small_dataset, spec)
     p = tmp_path / "tables.txt"
     save_tables(p, spec, tables, meta="config=abc seed=0")

@@ -209,12 +209,6 @@ class TestTrainConfig:
             TrainConfig(**setting).validate()
         TrainConfig(accumulator_decay=1.0).validate()
 
-    def test_loss_override(self):
-        cfg = TrainConfig(head_losses={"watch": "mse"})
-        assert cfg.loss_for("watch") == "mse"
-        assert cfg.loss_for("attr") == "hybrid"
-        assert cfg.loss_for("pdq") == "mse"
-
 
 class TestTraining:
     def make_day(self, rng, n=256, heads=("slide",)):
@@ -386,9 +380,9 @@ class TestPackedTrainingMatchesOracle:
     @pytest.mark.parametrize("batch_size", [64, 512])
     def test_params_accumulators_and_trace_bitwise(self, monkeypatch, batch_size):
         """``train`` on the packed buffers gives the per-array oracle's
-        params, accumulators and loss trace bit for bit, with mse, hybrid
-        (attr, author) and tweedie (watch) losses, a head subset that must
-        not decay the towers it skips, and short last batches."""
+        params, accumulators and loss trace bit for bit, with mse and hybrid
+        (attr, author, watch) losses, a head subset that must not decay the
+        towers it skips, and short last batches."""
         opts = []
 
         class Recording(AdaptiveAccumulator):
@@ -399,8 +393,7 @@ class TestPackedTrainingMatchesOracle:
         monkeypatch.setattr(predictor, "AdaptiveAccumulator", Recording)
         days = oracle_days(np.random.default_rng(31))
         heads = ("pdq", "slide", "attr", "author", "watch")
-        cfg = TrainConfig(batch_size=batch_size, epochs=3, seed=4,
-                          head_losses={"watch": "tweedie"})
+        cfg = TrainConfig(batch_size=batch_size, epochs=3, seed=4)
         params, trace = train(days, cfg, heads=heads)
         arrays, opt, oracle_trace = predictor_oracle.train(days, cfg, heads)
         assert trace == oracle_trace
