@@ -4,9 +4,10 @@ The fused score is a weighted sum of the three LTV heads (watch time,
 attributed slide time, author value) multiplicatively calibrated by the
 bounded heads (quantile, completion, interaction) raised to configurable
 exponents. The replay loop re-ranks each held-out session's slate by the
-fused score and re-simulates the generator's user model (zero-inflated
-gamma watch, affinity scaling, carryover, early exit), reporting
-directional metric deltas against a baseline weighting.
+fused score and draws the user's watch times through the generator's own
+user model (``synthgen.session_factors`` and ``synthgen.draw_watch``), with
+an early exit, reporting directional metric deltas against a baseline
+weighting.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, synthgen
 from .artifacts import fmt_real
 from .datamodel import Dataset, Session
 from .synthgen import GenConfig, GroundTruth
 
 MULTIPLICATIVE_HEADS = ("pdq", "completion", "interaction")
-ADDITIVE_HEADS = ("watch", "attr", "author")
 
 
 @dataclass
@@ -92,73 +92,30 @@ class ReplayReport:
 @dataclass
 class _Slate:
     """A held-out session's replay inputs that no draw changes: its head
-    predictions, per row the factors of the user model, and its row order
-    under each weighting replayed so far."""
+    predictions, its per-row factors (``synthgen.session_factors``' three,
+    then whether the row's author is in the QA set and preferred by the
+    user), and those factors in the row order of each weighting replayed."""
 
     session: Session
     preds: dict[str, np.ndarray]
-    engagement: float
-    # per row: zero-watch chance, quality x affinity scale, author in the QA
-    # set, author preferred, and the row's category and author in the log
-    rows: list[tuple]
-    planted: list[tuple[int, int]]  # per row: the video's planted category, author
-    orders: dict[tuple, list[int]] = field(default_factory=dict)
+    factors: tuple
+    orders: dict[tuple, tuple] = field(default_factory=dict)
+
+    def shown(self, order: np.ndarray) -> tuple:
+        """The factors in ``order``, as ``draw_watch`` and ``replay`` read them."""
+        zero_p, scale, related, in_qa, preferred = self.factors
+        return (zero_p[order], scale[order], related[np.ix_(order, order)].tolist(),
+                in_qa[order].tolist(), preferred[order].tolist())
 
 
 def _slate(cfg: GenConfig, gt: GroundTruth, session: Session, preds, qa: set[int]) -> _Slate:
-    user = session.user_id
-    videos = session["video_id"]
-    authors = session["author_id"].tolist()
-    aff = np.array([gt.affinity(user, a) for a in authors])
-    zero_p = [cfg.zero_watch_prob * (0.5 if a > 0 else 1.0) for a in aff.tolist()]
-    scale = gt.video_quality[videos] * (1.0 + cfg.author_affinity_strength * aff)
-    rows = list(zip(zero_p, scale.tolist(), [a in qa for a in authors], (aff > 0).tolist(),
-                    session["category_id"].tolist(), authors))
-    planted = list(zip(gt.video_category[videos].tolist(), gt.video_author[videos].tolist()))
-    engagement = 1.0 + cfg.position_bias_strength * float(gt.user_activity[user])
-    return _Slate(session, preds, engagement, rows, planted)
-
-
-def _weights_key(weights: FusionWeights) -> tuple:
-    return (weights.w_watch, weights.w_attr, weights.w_author,
-            tuple(sorted(weights.exponents.items())))
-
-
-def _replay_session(rng, cfg: GenConfig, slate: _Slate, order: list[int],
-                    cont_base: float = 0.75, cont_bonus: float = 0.2):
-    """Simulate one user consuming a re-ranked slate with early exit."""
-    rows, planted = slate.rows, slate.planted
-    watched: list[int] = []  # rows watched, in watch order
-    vv = 0
-    watch_total = 0.0
-    qa_watch = 0.0
-    pref_watch = 0.0
-    for rank, idx in enumerate(order):
-        zero_p, scale, in_qa, preferred, cat, author = rows[idx]
-        if rng.random() >= zero_p:
-            w = rng.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale)
-            w *= scale
-            w *= slate.engagement
-            # carryover from recently watched related videos
-            for prev in watched[-cfg.carryover_window:]:
-                prev_cat, prev_author = planted[prev]
-                related = prev_cat == cat or prev_author == author
-                if related and cfg.category_carryover_strength > 0:
-                    w += cfg.category_carryover_strength * rng.exponential(cfg.carryover_scale)
-        else:
-            w = 0.0
-        if w > 0:
-            vv += 1
-            watch_total += w
-            watched.append(idx)
-            if in_qa:
-                qa_watch += w
-            if preferred:
-                pref_watch += w
-        p_cont = min(0.98, cont_base + (cont_bonus if w > 0 else 0.0))
-        if rank + 1 < len(order) and rng.random() >= p_cont:
-            break
-    return vv, watch_total, qa_watch, pref_watch
+    user, authors = session.user_id, session["author_id"].tolist()
+    emb = np.array(session["content_embedding"].tolist())
+    factors = synthgen.session_factors(cfg, gt, user, session["video_id"], session["author_id"],
+                                       session["category_id"], emb)
+    in_qa = np.array([a in qa for a in authors])
+    preferred = np.array([a in gt.user_affinity[user] for a in authors])
+    return _Slate(session, preds, (*factors, in_qa, preferred))
 
 
 def replay(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
@@ -182,29 +139,37 @@ def replay(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
     if not slates:
         raise ValueError("held-out split is empty")
     anchor = min(holdout) - 1
-    key = _weights_key(weights)
-    revisit_by_user: dict[int, int] = {}
-    users: set[int] = set()
-    total = ReplayOutcome()
+    key = (weights.w_watch, weights.w_attr, weights.w_author,
+           tuple(sorted(weights.exponents.items())))
+    revisited: set[int] = set()
+    vv = watch_total = qa_watch = 0.0
     for slate in slates:
         if key not in slate.orders:
             scores = fused_score(slate.preds, weights)
-            slate.orders[key] = np.lexsort((np.arange(len(scores)), -scores)).tolist()
+            slate.orders[key] = slate.shown(np.lexsort((np.arange(len(scores)), -scores)))
+        zero_p, scale, related, in_qa, preferred = slate.orders[key]
         sess = slate.session
         rng = np.random.default_rng(np.random.SeedSequence((seed, sess.session_id)))
-        vv, watch, qa_w, pref_watch = _replay_session(rng, gen_config, slate, slate.orders[key])
-        total.vv += vv
-        total.watch += watch
-        total.qa_watch += qa_w
-        users.add(sess.user_id)
+        # after each row the user stays with chance min(0.98, 0.75 + 0.2 * watched)
+        _, _, watch = synthgen.draw_watch(gen_config, rng, zero_p, scale, related,
+                                          stay=(0.75, 0.95))
+        pref_watch = 0.0
+        for w, qa, preferred_author in zip(watch, in_qa, preferred):
+            if w > 0:
+                vv += 1
+                watch_total += w
+                if qa:
+                    qa_watch += w
+                if preferred_author:
+                    pref_watch += w
         # revisit propensity grows with preferred-author watch in this session
         if sess.day <= anchor + lt_window:
             p_rev = min(1.0, gen_config.revisit_base_prob
                         + 0.4 * (1.0 - np.exp(-pref_watch / 60.0)))
             if rng.random() < p_rev:
-                revisit_by_user[sess.user_id] = 1
-    total.lt_n = sum(revisit_by_user.values()) / len(users)
-    return total
+                revisited.add(sess.user_id)
+    return ReplayOutcome(vv, watch_total, qa_watch,
+                         len(revisited) / len({slate.session.user_id for slate in slates}))
 
 
 def replay_eval(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,

@@ -43,12 +43,11 @@ STAGE_FILES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "gen": ((), ("dataset.txt", "videos.txt", "groundtruth.txt")),
     "labels": (("dataset.txt", "videos.txt"),
                ("tables.txt", "labeled.txt", "aggregates.txt", "diagnostics.txt")),
-    "train": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "aggregates.txt"),
+    "train": (("dataset.txt", "videos.txt", "labeled.txt", "aggregates.txt"),
               ("params.txt", "loss_trace.txt")),
-    "eval": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "aggregates.txt",
-              "params.txt"),
+    "eval": (("dataset.txt", "videos.txt", "labeled.txt", "aggregates.txt", "params.txt"),
              ("metrics.txt", "metrics_summary.txt")),
-    "replay": (("dataset.txt", "videos.txt", "groundtruth.txt", "tables.txt", "params.txt"),
+    "replay": (("dataset.txt", "videos.txt", "groundtruth.txt", "params.txt"),
                ("replay.txt",)),
     "report": (("dataset.txt", "videos.txt", "labeled.txt", "tables.txt", "diagnostics.txt",
                 "metrics_summary.txt", "replay.txt"),
@@ -158,13 +157,31 @@ def _load_labels(workdir: Path, loaded: dict) -> dict[str, np.ndarray]:
     return labels
 
 
+def _load_ground_truth(workdir: Path, loaded: dict) -> synthgen.GroundTruth:
+    """``groundtruth.txt``, checked to hold every user, video and author of
+    ``dataset.txt``, and to give each logged video the log's author and category."""
+    path = workdir / "groundtruth.txt"
+    gt = synthgen.load_ground_truth(path)
+    columns = _input("dataset.txt", workdir, loaded).columns
+    for tag, name, records in (("U", "user_id", gt.user_activity),
+                               ("V", "video_id", gt.video_author),
+                               ("A", "author_id", gt.author_quality)):
+        if columns[name].max() >= len(records):
+            raise ValueError(f"{path} holds {len(records)} {tag} records, but the log "
+                             f"references {name} {columns[name].max()}; rerun the gen stage")
+    for name, planted in (("author_id", gt.video_author), ("category_id", gt.video_category)):
+        if not np.array_equal(planted[columns["video_id"]], columns[name]):
+            raise ValueError(f"{path} disagrees with the log on a video's {name}; "
+                             f"rerun the gen stage")
+    return gt
+
+
 #: input artifact -> its loader from disk, given (workdir, loaded). Loaders
 #: are looked up on their modules at call time, so wrappers installed there
 #: see every disk load. ``dataset.txt``'s loader also reads ``videos.txt``.
 _LOADERS = {
     "dataset.txt": lambda workdir, _: datamodel.load_dataset(workdir / "dataset.txt"),
-    "groundtruth.txt": lambda workdir, _: synthgen.load_ground_truth(
-        workdir / "groundtruth.txt"),
+    "groundtruth.txt": _load_ground_truth,
     "labeled.txt": _load_labels,
     "tables.txt": lambda workdir, _: pdq.load_tables(workdir / "tables.txt"),
     "aggregates.txt": lambda workdir, _: author_ltv.load_aggregates(
@@ -252,9 +269,9 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
                    "aggregates.txt": aggregates})
 
 
-def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggregates):
+def _build_streams(dataset: Dataset, labels, config: PipelineConfig, aggregates):
     """Per-day (standard, delayed) StreamData for the training split."""
-    feats = predictor.encode_features(_raw_ids(dataset.columns), spec)
+    feats = predictor.encode_features(_raw_ids(dataset.columns))
     train_days, _ = _split_days(dataset, int(config["train.test_days"]))
     N = int(config["author.window_n"])
     alpha = float(config["author.decay_alpha"])
@@ -298,9 +315,8 @@ def _build_streams(dataset: Dataset, labels, spec, config: PipelineConfig, aggre
 def _run_train(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset = _input("dataset.txt", workdir, loaded)
     labels = _input("labeled.txt", workdir, loaded)
-    spec, _ = _input("tables.txt", workdir, loaded)
     aggregates = _input("aggregates.txt", workdir, loaded)
-    days = _build_streams(dataset, labels, spec, config, aggregates)
+    days = _build_streams(dataset, labels, config, aggregates)
     params, trace = predictor.train(days, config.train_config())
     predictor.save_params(workdir / "params.txt", params, meta=meta)
     loaded["params.txt"] = params
@@ -313,7 +329,6 @@ def _run_train(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -
 def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset = _input("dataset.txt", workdir, loaded)
     labels = _input("labeled.txt", workdir, loaded)
-    spec, _ = _input("tables.txt", workdir, loaded)
     params = _input("params.txt", workdir, loaded)
     aggregates = _input("aggregates.txt", workdir, loaded)
     seed = int(config["seed"])
@@ -327,8 +342,8 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
         rows = rows[np.sort(rng.choice(len(rows), size=max_n, replace=False))]
     # encode only the rows predicted: the test rows here, the author rows below
     preds = predictor.predict(params, predictor.encode_features(
-        _raw_ids(dataset.columns, rows), spec))
-    groups = spec.group_array(dataset.columns["page_index"][rows])
+        _raw_ids(dataset.columns, rows)))
+    groups = pdq.PAGE_GROUPS.group_array(dataset.columns["page_index"][rows])
 
     report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
                                    model_id=artifacts.meta_key(workdir / "params.txt"),
@@ -346,7 +361,7 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     if "author" in preds and max_day >= N:
         plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates)
         if len(plan.delayed):
-            feats = predictor.encode_features(_raw_ids(dataset.columns, plan.delayed), spec)
+            feats = predictor.encode_features(_raw_ids(dataset.columns, plan.delayed))
             apreds = predictor.predict(params, feats, heads=("author",))
             report.add_head("author", apreds["author"], plan.author_labels)
 
@@ -359,10 +374,10 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
                     metrics.render_summary(report).splitlines(), meta)
 
 
-def make_scorer(params, spec):
+def make_scorer(params):
     """Session scorer for replay: session -> per-record head predictions."""
     def scorer(session):
-        feats = predictor.encode_features(_raw_ids(session), spec)
+        feats = predictor.encode_features(_raw_ids(session))
         return predictor.predict(params, feats)
     return scorer
 
@@ -370,11 +385,10 @@ def make_scorer(params, spec):
 def _run_replay(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset = _input("dataset.txt", workdir, loaded)
     gt = _input("groundtruth.txt", workdir, loaded)
-    spec, _ = _input("tables.txt", workdir, loaded)
     params = _input("params.txt", workdir, loaded)
     _, test_days = _split_days(dataset, int(config["train.test_days"]))
     report = fusion.replay_eval(
-        dataset, gt, config.gen_config(), make_scorer(params, spec),
+        dataset, gt, config.gen_config(), make_scorer(params),
         config.fusion_weights(), config.fusion_weights(baseline=True),
         holdout_days=test_days, n_seeds=int(config["replay.n_seeds"]),
         base_seed=int(config["seed"]), lt_window=int(config["replay.lt_window"]))

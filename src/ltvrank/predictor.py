@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
+from .pdq import PAGE_GROUPS
 
 FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 
@@ -224,11 +225,11 @@ def _layout(d: int, h1: int, h2: int, ht: int, heads):
         yield f"tower/{head}/bo", (1,), None
 
 
-def encode_features(raw_ids, page_group_spec) -> np.ndarray:
+def encode_features(raw_ids) -> np.ndarray:
     """Hash an (n, 5) array of raw ``ID_COLUMNS`` ids to index rows of the
-    ``FEATURE_FIELDS``; a ``None`` spec puts every row in page group 0."""
+    ``FEATURE_FIELDS``; the page index becomes its ``pdq.PAGE_GROUPS`` group."""
     ids = np.array(raw_ids, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
-    ids[:, 4] = page_group_spec.group_array(ids[:, 4]) if page_group_spec is not None else 0
+    ids[:, 4] = PAGE_GROUPS.group_array(ids[:, 4])
     v = np.array([VOCAB[f] for f in FEATURE_FIELDS], dtype=np.int64)
     # reducing both factors first keeps the product far below 2**63
     return (ids % v) * (_HASH_MULT % v) % v

@@ -229,8 +229,7 @@ def generate(config: GenConfig) -> tuple[Dataset, GroundTruth]:
             session_id = user * cfg.n_days + day
             revisit = 1 if (day > 0 and urng.random() < p_rev) else 0
             sessions.append((session_id, user, day, revisit, *_generate_session(
-                cfg, gt, urng, user, session_id, user_activity[user], pref_videos, cdf,
-                video_author, video_category, video_quality, video_promotion, emb)))
+                cfg, gt, urng, user, session_id, pref_videos, cdf, emb)))
 
     # per-video fields are gathered by video id once for the whole log, so
     # every impression of a video shares its embedding and v2v tuples
@@ -260,20 +259,16 @@ def draw_from_cdf(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarr
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, cdf,
-                      video_author, video_category, video_quality, video_promotion, emb):
+def _generate_session(cfg, gt, urng, user, session_id, pref_videos, cdf, emb):
     """One session's videos, retrieval sources and watch times; its planted
     contributions go to ``gt``. ``cdf`` is the cumulative feed popularity
     of the videos, normalized to end at 1."""
-    mean_pages = cfg.base_pages * (1.0 + cfg.position_bias_strength * activity)
+    mean_pages = cfg.base_pages * (1.0 + cfg.position_bias_strength * gt.user_activity[user])
     pages = int(urng.geometric(1.0 / max(mean_pages, 1.0)))
-    pages = min(max(pages, 1), cfg.max_pages)
-    n = pages * 4
+    n = 4 * min(max(pages, 1), cfg.max_pages)
 
-    if len(pref_videos) > 0:
-        from_pref = urng.random(n) < cfg.pref_watch_prob
-    else:
-        from_pref = np.zeros(n, dtype=bool)
+    from_pref = (urng.random(n) < cfg.pref_watch_prob if len(pref_videos)
+                 else np.zeros(n, dtype=bool))
     vids = draw_from_cdf(urng, cdf, n)
     n_pref = int(from_pref.sum())
     if n_pref:
@@ -282,48 +277,72 @@ def _generate_session(cfg, gt, urng, user, session_id, activity, pref_videos, cd
     if cfg.promotion_strength > 0:
         # the feed surfaces heavily promoted videos first, regardless of
         # their quality; this plants the position confound on the item side
-        placement = cfg.promotion_strength * np.log(video_promotion[vids])
+        placement = cfg.promotion_strength * np.log(gt.video_promotion[vids])
         placement += cfg.promotion_noise * urng.normal(size=n)
         vids = vids[np.argsort(-placement, kind="stable")]
 
-    authors = video_author[vids]
-    cats = video_category[vids]
-    aff = np.array([gt.user_affinity[user].get(int(a), 0.0) for a in authors])
-    engagement = 1.0 + cfg.position_bias_strength * activity
-
-    zero_p = np.where(aff > 0, cfg.zero_watch_prob * 0.5, cfg.zero_watch_prob)
-    watched = urng.random(n) >= zero_p
-    base = urng.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale, size=n)
-    base *= video_quality[vids] * (1.0 + cfg.author_affinity_strength * aff) * engagement
-    base = np.where(watched, base, 0.0)
-
-    sess_emb = emb[vids]
-    watch = base.copy()
-    contrib_lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    if cfg.category_carryover_strength > 0 and cfg.carryover_window > 0:
-        for i in range(1, n):
-            if base[i] <= 0:
-                continue
-            lo = max(0, i - cfg.carryover_window)
-            for j in range(lo, i):
-                if watch[j] <= 0:
-                    continue
-                related = (cats[j] == cats[i] or authors[j] == authors[i]
-                           or float(sess_emb[j] @ sess_emb[i]) > cfg.mm_sim_threshold)
-                if not related:
-                    continue
-                value = cfg.category_carryover_strength * urng.exponential(cfg.carryover_scale)
-                contrib_lists[i].append((i - j, float(value)))
-        for i in range(n):
-            total = base[i]
-            for _, value in contrib_lists[i]:
-                total += value
-            watch[i] = total
-
+    zero_p, scale, related = session_factors(
+        cfg, gt, user, vids, gt.video_author[vids], gt.video_category[vids], emb[vids])
+    base, contribs, watch = draw_watch(cfg, urng, zero_p, scale, related.tolist())
     retrieval = urng.integers(0, cfg.n_retrieval_sources, size=n)
+    for i, (b, c) in enumerate(zip(base, contribs)):
+        gt.contributions[(session_id, i)] = (b, tuple(c))
+    return vids, retrieval, np.array(watch)
+
+
+def session_factors(cfg: GenConfig, gt: GroundTruth, user: int, videos: np.ndarray,
+                    authors: np.ndarray, cats: np.ndarray, emb: np.ndarray):
+    """``draw_watch``'s inputs for ``user`` shown ``videos`` with these
+    ``authors``, categories ``cats`` and embeddings ``emb``: per row the
+    chance of no watch and the gamma scale, and the (n, n) boolean matrix of
+    related rows: rows that share a category or an author, or whose
+    embeddings' cosine exceeds ``mm_sim_threshold``."""
+    aff = np.array([gt.affinity(user, a) for a in authors.tolist()])
+    zero_p = np.where(aff > 0, cfg.zero_watch_prob * 0.5, cfg.zero_watch_prob)
+    engagement = 1.0 + cfg.position_bias_strength * gt.user_activity[user]
+    scale = gt.video_quality[videos] * (1.0 + cfg.author_affinity_strength * aff) * engagement
+    related = ((cats[:, None] == cats) | (authors[:, None] == authors)
+               | (emb @ emb.T > cfg.mm_sim_threshold))
+    return zero_p, scale, related
+
+
+def draw_watch(cfg: GenConfig, rng: np.random.Generator, zero_p: np.ndarray,
+               scale: np.ndarray, related: list[list[bool]],
+               stay: tuple[float, float] | None = None):
+    """The user model: draw the watch times of a session's rows, shown in
+    this order.
+
+    Row ``i`` is watched with chance ``1 - zero_p[i]``: a gamma draw times
+    ``scale[i]`` (its base), plus one exponential contribution from each
+    earlier watched row in the last ``carryover_window`` positions that
+    ``related[i]`` marks (``session_factors``' matrix as nested lists). With
+    ``stay = (after_skip, after_watch)`` the user sees the next row with
+    that chance, else leaves. Draws: ``random(n)``, ``gamma(n)``, then per
+    row its contributions and, with ``stay``, its exit draw. Returns, for
+    each row shown, its base, its ``(gap, contribution)`` list and its watch
+    time: base plus contributions, summed in order.
+    """
+    n = len(scale)
+    watched = rng.random(n) >= zero_p
+    gamma = rng.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale, size=n)
+    base = np.where(watched, gamma * scale, 0.0).tolist()
+    window = cfg.carryover_window if cfg.category_carryover_strength > 0 else 0
+    contribs, watch = [], []
     for i in range(n):
-        gt.contributions[(session_id, i)] = (float(base[i]), tuple(contrib_lists[i]))
-    return vids, retrieval, watch
+        total, row = base[i], []
+        if total > 0:
+            rel = related[i]
+            for j in range(max(0, i - window), i):
+                if base[j] > 0 and rel[j]:
+                    value = float(cfg.category_carryover_strength
+                                  * rng.exponential(cfg.carryover_scale))
+                    row.append((i - j, value))
+                    total += value
+        contribs.append(row)
+        watch.append(total)
+        if stay is not None and i + 1 < n and rng.random() >= stay[base[i] > 0]:
+            return base[:i + 1], contribs, watch
+    return base, contribs, watch
 
 
 def empirical_zero_fraction(dataset: Dataset, pages: tuple[int, int | None],

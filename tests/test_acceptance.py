@@ -51,7 +51,7 @@ from ltvrank.predictor import (
     train,
 )
 from ltvrank.synthgen import GenConfig, generate, load_ground_truth
-from ltvrank import datamodel, pdq
+from ltvrank import datamodel
 
 from conftest import random_session
 
@@ -87,12 +87,14 @@ def debias_models(corpora):
 
         test_day = max(sess.day for sess in ds.sessions)
         test = ds.columns["day"] == test_day
-        ids = np.column_stack([ds.columns[c] for c in ID_COLUMNS])
+        # every row on page 0, so in one page group: the features hold no position
+        ids = np.column_stack([ds.columns[c] for c in ID_COLUMNS[:-1]]
+                              + [np.zeros(ds.n_records(), dtype=np.int64)])
         tr_slide, tr_pdq = slide[~test], pdq_labels[~test]
         test_slide, test_pdq = slide[test], pdq_labels[test]
         test_pages = ds.columns["page_index"][test]
 
-        feats_tr = encode_features(ids[~test], None)
+        feats_tr = encode_features(ids[~test])
         cfg = TrainConfig(epochs=3, seed=s)
         pdq_params, _ = train(
             [(StreamData(feats_tr, {"pdq": tr_pdq}), None)],
@@ -101,7 +103,7 @@ def debias_models(corpora):
             [(StreamData(feats_tr, {"slide": tr_slide}), None)],
             cfg, heads=("slide",))
 
-        feats_test = encode_features(ids[test], None)
+        feats_test = encode_features(ids[test])
         pdq_pred = predict(pdq_params, feats_test)["pdq"]
         slide_pred = predict(slide_params, feats_test)["slide"]
         groups = spec.group_array(test_pages)
@@ -328,10 +330,9 @@ def test_criterion_11_author_weight_lifts_qa_watch(tmp_path):
     run_stages(("gen", "labels", "train"), cfg, tmp_path)
     ds = datamodel.load_dataset(tmp_path / "dataset.txt")
     gt = load_ground_truth(tmp_path / "groundtruth.txt")
-    spec, _ = pdq.load_tables(tmp_path / "tables.txt")
     params = load_params(tmp_path / "params.txt")
     report = replay_eval(
-        ds, gt, cfg.gen_config(), make_scorer(params, spec),
+        ds, gt, cfg.gen_config(), make_scorer(params),
         FusionWeights(1.0, 1.0, w_author=2.0),
         FusionWeights(1.0, 1.0, w_author=0.0),
         holdout_days=[6, 7], n_seeds=20, base_seed=0)

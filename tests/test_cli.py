@@ -300,6 +300,58 @@ class TestScopedCache:
         assert capsys.readouterr().out.splitlines() == ["ltvrank replay: ok"]
 
 
+class TestStageInputs:
+    """What single-stage commands read from a workdir after a TINY ``all``."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("inputs")
+        assert run("all", workdir) == 0
+        return workdir
+
+    @pytest.mark.parametrize("case", ["U", "V", "A", "mismatch"])
+    def test_replay_rejects_ground_truth_not_covering_log(self, cold, tmp_path, capsys, case):
+        """Ground truth cut from the log's highest user, video or author id
+        onward keeps its ids in sequence, and one ``V`` record with another
+        author is well-formed, yet replay must refuse both."""
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        columns = datamodel.load_dataset(work / "dataset.txt").columns
+        path = work / "groundtruth.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        if case == "mismatch":
+            prefix = f"V\t{columns['video_id'][0]}\t"
+            k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+            fields = lines[k].split("\t")
+            fields[2] = str(int(fields[2]) + 1)
+            lines[k] = "\t".join(fields)
+            expected = "author_id"
+        else:
+            name = {"U": "user_id", "V": "video_id", "A": "author_id"}[case]
+            top = int(columns[name].max())
+            lines = [line for line in lines if not (
+                line.startswith(f"{case}\t") and int(line.split("\t")[1]) >= top)]
+            expected = f"{top} {case} records"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("replay", work, "--set", "fusion.w_author=2.0") == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(path) in err and expected in err
+
+    def test_tables_read_by_report_alone(self, cold, tmp_path, capsys):
+        """train, eval and replay need only the constant page groups, not
+        ``tables.txt``; report prints its thresholds, so it needs the file."""
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        (work / "tables.txt").unlink()
+        for stage in ("train", "eval", "replay"):
+            assert run(stage, work, "--set", "train.learning_rate=0.03") == 0, stage
+        capsys.readouterr()
+        assert run("report", work, "--set", "train.learning_rate=0.03") == 1
+        err = capsys.readouterr().err
+        assert "missing input" in err and str(work / "tables.txt") in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """``--threads`` must reach the environment before numpy starts its
     thread pools, so importing the entry point must not import numpy."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltvrank import fusion
+from ltvrank import fusion, synthgen
 from ltvrank.fusion import (
     FusionWeights,
     fused_score,
@@ -10,6 +10,7 @@ from ltvrank.fusion import (
     replay_eval,
     save_replay_report,
 )
+from ltvrank.synthgen import GenConfig, generate
 
 from conftest import SMALL_GEN
 
@@ -193,3 +194,31 @@ class TestReplay:
         lines = path.read_text().splitlines()
         assert lines[0] == "#ltvrank-replay-report v1"
         assert any(line.startswith("qa_watch\t") for line in lines)
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102])
+def test_replay_user_model_matches_log(seed):
+    """Replay's user model, given the factors replay builds from the ground
+    truth and run on every logged session in its logged order with no exit,
+    draws the world the generator logged: its mean watch time and its
+    carryover links per impression each differ from the log's by less than
+    a 95 % bootstrap interval of the difference. The interval resamples the
+    sessions of the two worlds independently."""
+    cfg = GenConfig(n_users=800, n_videos=4000, n_authors=100, n_days=4, seed=seed)
+    ds, gt = generate(cfg)
+    n, watch, links, log_watch, log_links = (np.zeros(len(ds.sessions)) for _ in range(5))
+    for k, sess in enumerate(ds.sessions):
+        slate = fusion._slate(cfg, gt, sess, {}, set())
+        zero_p, scale, related, _, _ = slate.shown(np.arange(len(sess)))
+        rng = np.random.default_rng([seed, sess.session_id])
+        _, contribs, drawn = synthgen.draw_watch(cfg, rng, zero_p, scale, related)
+        n[k], watch[k], links[k] = len(sess), sum(drawn), sum(map(len, contribs))
+        log_watch[k] = sess["watch_time"].sum()
+        log_links[k] = sum(len(gt.contributions[(sess.session_id, i)][1])
+                           for i in range(len(sess)))
+    boot = np.random.default_rng(seed)
+    a, b = (boot.integers(0, len(n), size=(1000, len(n)), dtype=np.int32) for _ in range(2))
+    for name, ours, logged in (("watch", watch, log_watch), ("links", links, log_links)):
+        diff = ours[a].sum(1) / n[a].sum(1) - logged[b].sum(1) / n[b].sum(1)
+        lo, hi = np.quantile(diff, [0.025, 0.975])
+        assert lo < 0.0 < hi, (name, ours.sum() / n.sum(), logged.sum() / n.sum(), lo, hi)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ltvrank import predictor
-from ltvrank.pdq import PageGroupSpec, TABLE4_BOUNDARIES
+from ltvrank.pdq import PAGE_GROUPS
 from ltvrank.predictor import (
     FEATURE_FIELDS,
     HEAD_SPECS,
@@ -48,11 +48,11 @@ def raw_ids(records):
                     dtype=np.int64).reshape(-1, len(ID_COLUMNS))
 
 
-def encode_oracle(records, spec):
+def encode_oracle(records):
     """Per-record ``encode_features``: ``group_of`` and Python-int hashing."""
     rows = []
     for r in records:
-        group = spec.group_of(r.page_index) if spec is not None else 0
+        group = PAGE_GROUPS.group_of(r.page_index)
         ids = (r.user_id, r.video_id, r.author_id, r.category_id, group)
         rows.append([(int(i) * 2654435761) % VOCAB[f] for i, f in zip(ids, FEATURE_FIELDS)])
     return np.array(rows, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
@@ -61,45 +61,40 @@ def encode_oracle(records, spec):
 class TestEncodeFeatures:
     def test_shape_and_determinism(self):
         sess = make_session([1.0] * 6)
-        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        f1 = encode_features(raw_ids(sess.records), spec)
-        f2 = encode_features(raw_ids(sess.records), spec)
+        f1 = encode_features(raw_ids(sess.records))
+        f2 = encode_features(raw_ids(sess.records))
         assert f1.shape == (6, 5)
         np.testing.assert_array_equal(f1, f2)
 
     def test_indices_within_vocab(self):
         sess = make_session([1.0] * 8)
-        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        feats = encode_features(raw_ids(sess.records), spec)
+        feats = encode_features(raw_ids(sess.records))
         for i, f in enumerate(FEATURE_FIELDS):
             assert feats[:, i].max() <= VOCAB[f]
 
-    @pytest.mark.parametrize("spec", [PageGroupSpec(ranges=TABLE4_BOUNDARIES), None],
-                             ids=["table4", "no-spec"])
-    def test_matches_per_record_oracle(self, spec):
+    def test_matches_per_record_oracle(self):
         rng = np.random.default_rng(5)
         records = [r for k in range(20)
                    for r in random_session(rng, int(rng.integers(1, 30)), session_id=k,
                                            user_id=int(rng.integers(0, 10**6))).records]
-        np.testing.assert_array_equal(encode_features(raw_ids(records), spec),
-                                      encode_oracle(records, spec))
+        np.testing.assert_array_equal(encode_features(raw_ids(records)),
+                                      encode_oracle(records))
 
     def test_ids_above_2_32_hash_exactly(self):
         big = [2**32 + 7, 2**40 + 3, 2**62 + 11, 2**63 - 1]
         sess = make_session([1.0] * 4, user_id=big[3], videos=big, authors=big[::-1],
                             cats=[2**33, 2**34 + 1, 2**35 + 2, 2**36 + 3])
-        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        np.testing.assert_array_equal(encode_features(raw_ids(sess.records), spec),
-                                      encode_oracle(sess.records, spec))
+        np.testing.assert_array_equal(encode_features(raw_ids(sess.records)),
+                                      encode_oracle(sess.records))
 
     def test_empty_input_has_five_columns(self):
-        assert encode_features(np.zeros((0, 5), dtype=np.int64), None).shape == (0, 5)
+        assert encode_features(np.zeros((0, 5), dtype=np.int64)).shape == (0, 5)
 
     def test_negative_page_rejected(self):
         sess = make_session([1.0] * 3)
         bad = sess.records[:2] + (dataclasses.replace(sess.records[2], page_index=-1),)
         with pytest.raises(ValueError, match="page_index must be >= 0"):
-            encode_features(raw_ids(bad), PageGroupSpec(ranges=TABLE4_BOUNDARIES))
+            encode_features(raw_ids(bad))
 
 
 class TestForward:

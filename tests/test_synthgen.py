@@ -5,6 +5,7 @@ from ltvrank.datamodel import session_slide_times, validate_session
 from ltvrank.synthgen import (
     GenConfig,
     draw_from_cdf,
+    draw_watch,
     empirical_zero_fraction,
     generate,
     load_ground_truth,
@@ -195,3 +196,58 @@ def test_cdf_draw_matches_generator_choice(seed):
         ours, numpy_ = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
         assert np.array_equal(draw_from_cdf(ours, cdf, n), numpy_.choice(len(p), size=n, p=p))
         assert ours.bit_generator.state == numpy_.bit_generator.state
+
+
+def _kernel_inputs(n, seed):
+    """Per-row zero-watch chances and scales, and every pair related."""
+    rng = np.random.default_rng([seed, n])
+    return rng.uniform(0.1, 0.5, size=n), rng.lognormal(size=n), [[True] * n] * n
+
+
+class TestDrawWatch:
+    @pytest.mark.parametrize("off", [{"category_carryover_strength": 0.0},
+                                     {"carryover_window": 0}], ids=["strength", "window"])
+    def test_no_carryover_draws_no_exponential(self, off):
+        """With carryover off the kernel draws ``random(n)`` and ``gamma(n)``
+        and nothing else, and each watch time is its base."""
+        cfg = GenConfig(**off)
+        zero_p, scale, related = _kernel_inputs(40, 1)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        base, contribs, watch = draw_watch(cfg, rng, zero_p, scale, related)
+        twin.random(40)
+        twin.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale, size=40)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert watch == base and contribs == [[]] * 40
+        assert 0 < sum(w > 0 for w in watch) < 40
+
+    def test_carryover_adds_one_draw_per_link(self):
+        cfg = GenConfig()
+        zero_p, scale, related = _kernel_inputs(40, 1)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        base, contribs, watch = draw_watch(cfg, rng, zero_p, scale, related)
+        twin.random(40)
+        twin.gamma(cfg.watch_gamma_shape, cfg.watch_gamma_scale, size=40)
+        links = sum(map(len, contribs))
+        assert links > 0
+        twin.exponential(size=links)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for i, row in enumerate(contribs):
+            assert all(0 < gap <= min(i, cfg.carryover_window) and base[i - gap] > 0
+                       for gap, _ in row)
+            assert not row or base[i] > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exit_returns_nonempty_prefix(self, seed):
+        """With an exit the kernel returns the first rows up to the one the
+        user left after; their bases are those drawn without an exit."""
+        cfg = GenConfig()
+        zero_p, scale, related = _kernel_inputs(60, seed)
+        full, _, _ = draw_watch(cfg, np.random.default_rng(seed), zero_p, scale, related)
+        base, contribs, watch = draw_watch(cfg, np.random.default_rng(seed), zero_p, scale,
+                                           related, stay=(0.8, 0.9))
+        assert 1 <= len(base) < 60 and len(contribs) == len(watch) == len(base)
+        assert base == full[:len(base)]
+        for stay, n in (((0.0, 0.0), 1), ((1.0, 1.0), 60)):
+            shown, _, _ = draw_watch(cfg, np.random.default_rng(seed), zero_p, scale,
+                                     related, stay=stay)
+            assert shown == full[:n]
