@@ -11,7 +11,7 @@ Run with:  python3 demos/position_bias_tour.py
 import numpy as np
 
 from ltvrank.datamodel import slide_times
-from ltvrank.pdq import PAGE_GROUPS, build_pdq_labels, fit_tables
+from ltvrank.pdq import PAGE_GROUPS, build_pdq_labels, fit_tables, page_groups
 from ltvrank.synthgen import GenConfig, generate
 
 
@@ -25,8 +25,9 @@ def main():
 
     # raw slide time by page depth
     pages = dataset.columns["page_index"]
+    slide = slide_times(dataset)
     counts = np.bincount(pages)
-    sums = np.bincount(pages, weights=slide_times(dataset))
+    sums = np.bincount(pages, weights=slide)
 
     print("page  impressions  mean slide time (s)")
     for p in np.flatnonzero(counts):
@@ -40,16 +41,15 @@ def main():
           "raw slide\ntime learns to predict the page, not the video.\n")
 
     # quantile labels within page groups
-    spec = PAGE_GROUPS
-    tables = fit_tables(dataset, spec)
-    labels = build_pdq_labels(dataset, spec, tables)
+    groups = page_groups(pages)
+    tables = fit_tables(slide, groups)
+    labels = build_pdq_labels(slide, groups, tables)
 
-    groups = spec.group_array(pages)
     lab_sum = np.bincount(groups, weights=labels)
     lab_n = np.bincount(groups)
 
     print("group  pages        zero-start S_k/T  mean quantile label")
-    for g, (lo, hi) in enumerate(spec.ranges):
+    for g, (lo, hi) in enumerate(PAGE_GROUPS):
         if g not in tables:
             continue
         t = tables[g]

@@ -19,8 +19,8 @@ _EXPORTS = {
         "compute_slide_time", "load_dataset", "save_dataset", "session_slide_times",
         "validate_session"),
     "pdq": (
-        "PAGE_GROUPS", "TABLE4_BOUNDARIES", "PageGroupSpec", "QuantileTable", "bucketize",
-        "fit_quantile_table", "fit_tables", "quantile_label", "quantile_labels"),
+        "PAGE_GROUPS", "QuantileTable", "bucketize", "fit_quantile_table", "fit_tables",
+        "page_groups", "quantile_label", "quantile_labels"),
     "attribution": (
         "FLAG_NAMES", "AttributionConfig", "attributed_slide_time", "pair_flags",
         "session_attributed_slide_times", "table1_diagnostics"),

@@ -11,6 +11,7 @@ module keeps only its own record format.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -36,14 +37,19 @@ def _header(kind: str) -> str:
 
 def write(path, kind: str, lines: Iterable[str], meta: str | None = None) -> None:
     """Write the header, the ``#meta`` line if given and one line per record,
-    then rename the finished file into place."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(kind) + "\n")
-        if meta:
-            fh.write(f"#meta {meta}\n")
-        for line in lines:
-            fh.write(line + "\n")
+    then rename the finished file into place. If writing raises, the
+    partial file is removed and any old ``path`` is left as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_header(kind) + "\n")
+            if meta:
+                fh.write(f"#meta {meta}\n")
+            for line in lines:
+                fh.write(line + "\n")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

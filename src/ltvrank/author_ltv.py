@@ -70,17 +70,16 @@ def author_ltv_label(aggregates: Aggregates, user_id: int, author_id: int,
 
 
 def plan_dual_stream(dataset: Dataset, t: int, N: int = DEFAULT_WINDOW_N,
-                     alpha: float = DEFAULT_DECAY_ALPHA,
-                     aggregates: Aggregates | None = None) -> DualStreamBatchPlan:
-    """Standard day-t rows plus matured day-(t-N) rows with author labels.
+                     alpha: float = DEFAULT_DECAY_ALPHA, *,
+                     aggregates: Aggregates) -> DualStreamBatchPlan:
+    """Standard day-t rows plus matured day-(t-N) rows with author labels,
+    from the log's ``aggregate_author_days``.
 
     A delayed example anchored at day d = t-N carries the label over days
     [d+1 .. d+N], which is complete once day t has been observed.
     """
     if t < 0:
         raise ValueError(f"training day must be >= 0, got {t}")
-    if aggregates is None:
-        aggregates = aggregate_author_days(dataset)
     delayed_day = t - N
     if delayed_day < 0:
         warnings.warn(f"training day {t} < N={N}: delayed stream is empty",

@@ -4,9 +4,9 @@ Every key has a documented default below; unknown keys are rejected with
 the full list of offenders. Each pipeline stage hashes the canonical
 serialization of the keys it reads into the cache key of its artifacts.
 
-Some choices are fixed in code rather than keyed: PDQ's page groups
-(``pdq.PAGE_GROUPS``), the attribution rule (a pair is attributed when any
-flag is set) and each head's loss (``predictor.HEAD_SPECS``).
+Some choices are fixed in code rather than keyed: PDQ's page groups (the
+constant ``pdq.PAGE_GROUPS``), the attribution rule (a pair is attributed
+when any flag is set) and each head's loss (``predictor.HEAD_SPECS``).
 """
 
 from __future__ import annotations

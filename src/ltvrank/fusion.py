@@ -178,6 +178,8 @@ def replay_eval(dataset: Dataset, gt: GroundTruth, gen_config: GenConfig,
                 lt_window: int = 3) -> ReplayReport:
     """Directional report: metric deltas of ``weights`` over ``baseline_weights``
     across ``n_seeds`` replay seeds, with percentile confidence intervals."""
+    if n_seeds < 1:
+        raise ValueError(f"replay.n_seeds must be >= 1, got {n_seeds}")
     metrics = ("vv", "watch", "qa_watch", "lt_n")
     per_seed: dict[str, list[float]] = {m: [] for m in metrics}
     # every seed and both weightings replay the same sessions: the first

@@ -16,69 +16,30 @@ import numpy as np
 
 from . import artifacts
 from .artifacts import fmt_real
-from .datamodel import Dataset, DEFAULT_CAP_Q, slide_times
 
 #: Default quantization granularity.
 DEFAULT_T = 50
 
-#: Page-group boundaries: 0 / 1-2 / 3-5 / 6-9 / 10-15 / 16-29 / 30+.
-TABLE4_BOUNDARIES: tuple[tuple[int, int | None], ...] = (
+#: The page groups of every PDQ label, Table 4's half-open page-index ranges
+#: 0 / 1-2 / 3-5 / 6-9 / 10-15 / 16-29 / 30+ (``hi=None`` is the open end).
+PAGE_GROUPS: tuple[tuple[int, int | None], ...] = (
     (0, 1), (1, 3), (3, 6), (6, 10), (10, 16), (16, 30), (30, None),
 )
 
-
-@dataclass(frozen=True)
-class PageGroupSpec:
-    """Disjoint, exhaustive half-open page-index ranges; ``hi=None`` = open end."""
-
-    ranges: tuple[tuple[int, int | None], ...]
-
-    def __post_init__(self):
-        if not self.ranges:
-            raise ValueError("at least one page group required")
-        expect = 0
-        for i, (lo, hi) in enumerate(self.ranges):
-            if lo != expect:
-                raise ValueError(f"group {i} starts at {lo}, expected {expect}")
-            if hi is None:
-                if i != len(self.ranges) - 1:
-                    raise ValueError("only the last group may be unbounded")
-            else:
-                if hi <= lo:
-                    raise ValueError(f"group {i} range ({lo},{hi}) is empty")
-                expect = hi
-        if self.ranges[-1][1] is not None:
-            raise ValueError("last group must be unbounded to cover all pages")
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.ranges)
-
-    def group_of(self, page_index: int) -> int:
-        if page_index < 0:
-            raise ValueError(f"page_index must be >= 0, got {page_index}")
-        for k, (lo, hi) in enumerate(self.ranges):
-            if lo <= page_index and (hi is None or page_index < hi):
-                return k
-        raise AssertionError("exhaustive ranges cannot miss")
-
-    def group_array(self, page_indices: np.ndarray) -> np.ndarray:
-        """Vectorized ``group_of``."""
-        if len(page_indices) and page_indices.min() < 0:
-            raise ValueError(f"page_index must be >= 0, got {page_indices.min()}")
-        edges = np.array([lo for lo, _ in self.ranges[1:]], dtype=np.int64)
-        return np.searchsorted(edges, page_indices, side="right")
+_EDGES = np.array([lo for lo, _ in PAGE_GROUPS[1:]], dtype=np.int64)
 
 
-#: The page groups of every PDQ label.
-PAGE_GROUPS = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
+def page_groups(pages: np.ndarray) -> np.ndarray:
+    """The ``PAGE_GROUPS`` index of each page index."""
+    if len(pages) and pages.min() < 0:
+        raise ValueError(f"page_index must be >= 0, got {pages.min()}")
+    return np.searchsorted(_EDGES, pages, side="right")
 
 
 @dataclass(frozen=True)
 class QuantileTable:
     """Isofrequency thresholds for one page group, with zero starting index."""
 
-    group: int
     T: int
     thresholds: tuple[float, ...]   # non-decreasing, length T
     S_k: int                        # number of leading zero thresholds
@@ -94,7 +55,7 @@ class QuantileTable:
             raise ValueError(f"S_k={self.S_k} but table has {leading_zeros} leading zeros")
 
 
-def fit_quantile_table(slide_times, T: int = DEFAULT_T, group: int = 0) -> QuantileTable:
+def fit_quantile_table(slide_times, T: int = DEFAULT_T) -> QuantileTable:
     """Empirical j/T-quantiles via the order statistic at ceil(n*j/T).
 
     Requires at least T samples. S_k is the count of leading zero
@@ -110,8 +71,7 @@ def fit_quantile_table(slide_times, T: int = DEFAULT_T, group: int = 0) -> Quant
     ranks = np.ceil(n * js / T).astype(np.int64) - 1
     thresholds = s[ranks]
     S_k = int(np.sum(np.cumsum(thresholds != 0.0) == 0))
-    return QuantileTable(group=group, T=T, thresholds=tuple(float(x) for x in thresholds),
-                         S_k=S_k)
+    return QuantileTable(T=T, thresholds=tuple(float(x) for x in thresholds), S_k=S_k)
 
 
 def bucketize(s: float, table: QuantileTable) -> int:
@@ -140,51 +100,42 @@ def quantile_labels(s: np.ndarray, table: QuantileTable) -> np.ndarray:
     return (b + table.S_k) / table.T
 
 
-def fit_tables(dataset: Dataset, spec: PageGroupSpec, T: int = DEFAULT_T,
-               Q: float = DEFAULT_CAP_Q, slide: np.ndarray | None = None
-               ) -> dict[int, QuantileTable]:
-    """Fit one quantile table per page group from a dataset's slide times
-    (``slide``, if the caller has ``slide_times(dataset, Q)`` already).
+def fit_tables(slide: np.ndarray, groups: np.ndarray,
+               T: int = DEFAULT_T) -> dict[int, QuantileTable]:
+    """Fit one quantile table per page group from the slide time and
+    ``page_groups`` index of every impression.
 
     A group too sparse to estimate T quantiles (fewer than T samples but at
-    least one) inherits the nearest shallower group's table, so every
+    least one) shares the nearest shallower group's table, so every
     observed page maps to a usable table; raises ValueError if there is
-    none to inherit.
+    none to share.
     """
-    slide = slide_times(dataset, Q) if slide is None else slide
-    groups = spec.group_array(dataset.columns["page_index"])
     tables: dict[int, QuantileTable] = {}
-    for k in range(spec.n_groups):
+    for k in range(len(PAGE_GROUPS)):
         values = slide[groups == k]
         if len(values) >= T:
-            tables[k] = fit_quantile_table(values, T=T, group=k)
+            tables[k] = fit_quantile_table(values, T=T)
         elif len(values):
             if not tables:
                 raise ValueError(f"page group {k} has {len(values)} rows, fewer than "
                                  f"pdq.T={T}, and no shallower group to inherit a "
                                  f"table from")
-            donor = tables[max(tables)]
-            tables[k] = QuantileTable(group=k, T=donor.T, thresholds=donor.thresholds,
-                                      S_k=donor.S_k)
+            tables[k] = tables[max(tables)]
     return tables
 
 
-def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
-                     tables: dict[int, QuantileTable],
-                     Q: float = DEFAULT_CAP_Q, slide: np.ndarray | None = None) -> np.ndarray:
-    """PDQ label of every impression, in dataset order (``slide`` as for
-    ``fit_tables``).
+def build_pdq_labels(slide: np.ndarray, groups: np.ndarray,
+                     tables: dict[int, QuantileTable]) -> np.ndarray:
+    """PDQ label of every impression, from its slide time and group as
+    for ``fit_tables``.
 
     Raises if any impression maps to a group without a fitted table.
     """
-    slide = slide_times(dataset, Q) if slide is None else slide
-    pages = dataset.columns["page_index"]
-    groups = spec.group_array(pages)
     unfitted = ~np.isin(groups, list(tables))
     if unfitted.any():
         row = int(np.argmax(unfitted))
         raise KeyError(f"no quantile table fitted for page group {groups[row]} "
-                       f"(page {pages[row]}, session {dataset.columns['session_id'][row]})")
+                       f"(impression {row})")
     labels = np.empty(len(slide), dtype=np.float64)
     for k, table in tables.items():
         in_group = groups == k
@@ -193,27 +144,24 @@ def build_pdq_labels(dataset: Dataset, spec: PageGroupSpec,
 
 
 # ---------------------------------------------------------------------------
-# Sidecar persistence (group, T, S_k, thresholds)
+# Sidecar persistence (page groups, then group, T, S_k, thresholds)
 # ---------------------------------------------------------------------------
 
-def _ranges_field(spec: PageGroupSpec) -> str:
-    return ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in spec.ranges)
+_GROUPS_FIELD = ",".join(f"{lo}:{'inf' if hi is None else hi}" for lo, hi in PAGE_GROUPS)
 
 
-def save_tables(path, spec: PageGroupSpec, tables: dict[int, QuantileTable],
-                meta: str | None = None) -> None:
-    lines = [f"G\t{_ranges_field(spec)}"] + [
+def save_tables(path, tables: dict[int, QuantileTable], meta: str | None = None) -> None:
+    lines = [f"G\t{_GROUPS_FIELD}"] + [
         f"Q\t{k}\t{t.T}\t{t.S_k}\t" + ",".join(fmt_real(x) for x in t.thresholds)
         for k, t in sorted(tables.items())]
     artifacts.write(path, "quantile-tables", lines, meta)
 
 
-def load_tables(path) -> tuple[PageGroupSpec, dict[int, QuantileTable]]:
+def load_tables(path) -> dict[int, QuantileTable]:
     """Read ``save_tables``'s records. Raises DatasetFormatError naming
     ``path:line`` on a malformed record, a missing or repeated ``G`` record,
     a ``G`` record other than ``PAGE_GROUPS``'s, or a ``Q`` record whose
     group is repeated or not in ``PAGE_GROUPS``."""
-    groups = _ranges_field(PAGE_GROUPS)
     seen_g = False
     tables: dict[int, QuantileTable] = {}
 
@@ -222,21 +170,21 @@ def load_tables(path) -> tuple[PageGroupSpec, dict[int, QuantileTable]]:
         if parts[0] == "G":
             if seen_g:
                 raise ValueError("repeated G record")
-            if parts[1] != groups:
-                raise ValueError(f"page groups {parts[1]!r} are not {groups!r}")
+            if parts[1] != _GROUPS_FIELD:
+                raise ValueError(f"page groups {parts[1]!r} are not {_GROUPS_FIELD!r}")
             seen_g = True
         elif parts[0] == "Q":
             k, T, S_k = int(parts[1]), int(parts[2]), int(parts[3])
-            if not 0 <= k < PAGE_GROUPS.n_groups:
-                raise ValueError(f"group {k} is not in [0, {PAGE_GROUPS.n_groups})")
+            if not 0 <= k < len(PAGE_GROUPS):
+                raise ValueError(f"group {k} is not in [0, {len(PAGE_GROUPS)})")
             if k in tables:
                 raise ValueError(f"repeated group {k}")
             thresholds = tuple(float(x) for x in parts[4].split(","))
-            tables[k] = QuantileTable(group=k, T=T, thresholds=thresholds, S_k=S_k)
+            tables[k] = QuantileTable(T=T, thresholds=thresholds, S_k=S_k)
         else:
             raise ValueError(f"unknown record tag {parts[0]!r}")
 
     artifacts.read(path, "quantile-tables", parse)
     if not seen_g:
         raise artifacts.DatasetFormatError(path, artifacts.line_no(path), "missing G record")
-    return PAGE_GROUPS, tables
+    return tables

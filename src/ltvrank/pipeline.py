@@ -241,18 +241,21 @@ def _run_gen(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> 
 
 
 def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
+    T, Q = int(config["pdq.T"]), float(config["cap_q"])
+    for key, value in (("pdq.T", T), ("cap_q", Q)):
+        if value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
     dataset = _input("dataset.txt", workdir, loaded)
-    Q = float(config["cap_q"])
-    spec = pdq.PAGE_GROUPS
     slide = datamodel.slide_times(dataset, Q=Q)
-    tables = pdq.fit_tables(dataset, spec, T=int(config["pdq.T"]), Q=Q, slide=slide)
+    groups = pdq.page_groups(dataset.columns["page_index"])
+    tables = pdq.fit_tables(slide, groups, T=T)
     att_cfg = config.attribution_config()
     att_cfg.validate()
     watch = dataset.columns["watch_time"]
     labels = {
         **_row_keys(dataset),
         "slide": slide,
-        "pdq": pdq.build_pdq_labels(dataset, spec, tables, Q=Q, slide=slide),
+        "pdq": pdq.build_pdq_labels(slide, groups, tables),
         "attr": np.concatenate([attribution.session_attributed_slide_times(s, att_cfg, Q=Q)
                                 for s in dataset.sessions]),
         "watch": watch,
@@ -261,11 +264,11 @@ def _run_labels(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
     }
     aggregates = author_ltv.aggregate_author_days(dataset)
     diag = attribution.table1_diagnostics(dataset, att_cfg)
-    pdq.save_tables(workdir / "tables.txt", spec, tables, meta=meta)
+    pdq.save_tables(workdir / "tables.txt", tables, meta=meta)
     datamodel.save_labeled(workdir / "labeled.txt", labels, meta=meta)
     author_ltv.save_aggregates(workdir / "aggregates.txt", aggregates, meta=meta)
     attribution.save_diagnostics(workdir / "diagnostics.txt", diag, meta=meta)
-    loaded.update({"tables.txt": (spec, tables), "labeled.txt": labels,
+    loaded.update({"tables.txt": tables, "labeled.txt": labels,
                    "aggregates.txt": aggregates})
 
 
@@ -343,7 +346,7 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     # encode only the rows predicted: the test rows here, the author rows below
     preds = predictor.predict(params, predictor.encode_features(
         _raw_ids(dataset.columns, rows)))
-    groups = pdq.PAGE_GROUPS.group_array(dataset.columns["page_index"][rows])
+    groups = pdq.page_groups(dataset.columns["page_index"][rows])
 
     report = metrics.MetricsReport(dataset_id=artifacts.meta_key(workdir / "dataset.txt"),
                                    model_id=artifacts.meta_key(workdir / "params.txt"),
@@ -359,7 +362,7 @@ def _run_eval(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) ->
     alpha = float(config["author.decay_alpha"])
     max_day = int(day.max())
     if "author" in preds and max_day >= N:
-        plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates)
+        plan = author_ltv.plan_dual_stream(dataset, max_day, N, alpha, aggregates=aggregates)
         if len(plan.delayed):
             feats = predictor.encode_features(_raw_ids(dataset.columns, plan.delayed))
             apreds = predictor.predict(params, feats, heads=("author",))
@@ -398,7 +401,7 @@ def _run_replay(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
 def _run_report(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) -> None:
     dataset = _input("dataset.txt", workdir, loaded)
     labels = _input("labeled.txt", workdir, loaded)
-    spec, tables = _input("tables.txt", workdir, loaded)
+    tables = _input("tables.txt", workdir, loaded)
     Q = float(config["cap_q"])
 
     # page index vs mean slide time and zero share (position-bias picture)
@@ -439,7 +442,7 @@ def _run_report(config: PipelineConfig, workdir: Path, meta: str, loaded: dict) 
     def lines():
         yield f"sessions={len(dataset.sessions)} impressions={dataset.n_records()}"
         yield "page groups: " + ", ".join(
-            f"[{lo},{'inf' if hi is None else hi})" for lo, hi in spec.ranges)
+            f"[{lo},{'inf' if hi is None else hi})" for lo, hi in pdq.PAGE_GROUPS)
         for k in sorted(tables):
             yield f"group {k}: S_k={tables[k].S_k} T={tables[k].T}"
         for title, name, kind in sections:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .pdq import PAGE_GROUPS
+from .pdq import page_groups
 
 FEATURE_FIELDS = ("user", "video", "author", "category", "page_group")
 
@@ -229,7 +229,7 @@ def encode_features(raw_ids) -> np.ndarray:
     """Hash an (n, 5) array of raw ``ID_COLUMNS`` ids to index rows of the
     ``FEATURE_FIELDS``; the page index becomes its ``pdq.PAGE_GROUPS`` group."""
     ids = np.array(raw_ids, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
-    ids[:, 4] = PAGE_GROUPS.group_array(ids[:, 4])
+    ids[:, 4] = page_groups(ids[:, 4])
     v = np.array([VOCAB[f] for f in FEATURE_FIELDS], dtype=np.int64)
     # reducing both factors first keeps the product far below 2**63
     return (ids % v) * (_HASH_MULT % v) % v

@@ -76,7 +76,7 @@ class GenConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         nonneg = ["author_affinity_strength", "category_carryover_strength",
                   "position_bias_strength", "carryover_window",
-                  "promotion_strength", "promotion_noise"]
+                  "promotion_strength", "promotion_noise", "v2v_top_k"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")

@@ -28,11 +28,10 @@ from ltvrank.datamodel import session_slide_times
 from ltvrank.fusion import FusionWeights, replay_eval
 from ltvrank.metrics import pcoc, xauc, xauc_grouped, xauc_pair_counts
 from ltvrank.pdq import (
-    PAGE_GROUPS,
-    PageGroupSpec,
     build_pdq_labels,
     fit_quantile_table,
     fit_tables,
+    page_groups,
     quantile_label,
     quantile_labels,
 )
@@ -80,10 +79,9 @@ def debias_models(corpora):
     """
     results = []
     for s, (ds, _) in enumerate(corpora):
-        spec = PAGE_GROUPS
-        tables = fit_tables(ds, spec)
-        pdq_labels = build_pdq_labels(ds, spec, tables)
         slide = np.concatenate([session_slide_times(sess) for sess in ds.sessions])
+        page_group = page_groups(ds.columns["page_index"])
+        pdq_labels = build_pdq_labels(slide, page_group, fit_tables(slide, page_group))
 
         test_day = max(sess.day for sess in ds.sessions)
         test = ds.columns["day"] == test_day
@@ -92,7 +90,6 @@ def debias_models(corpora):
                               + [np.zeros(ds.n_records(), dtype=np.int64)])
         tr_slide, tr_pdq = slide[~test], pdq_labels[~test]
         test_slide, test_pdq = slide[test], pdq_labels[test]
-        test_pages = ds.columns["page_index"][test]
 
         feats_tr = encode_features(ids[~test])
         cfg = TrainConfig(epochs=3, seed=s)
@@ -106,7 +103,7 @@ def debias_models(corpora):
         feats_test = encode_features(ids[test])
         pdq_pred = predict(pdq_params, feats_test)["pdq"]
         slide_pred = predict(slide_params, feats_test)["slide"]
-        groups = spec.group_array(test_pages)
+        groups = page_group[test]
         results.append({
             "xauc_pdq": xauc_grouped(pdq_pred, test_slide, groups),
             "xauc_slide": xauc_grouped(slide_pred, test_slide, groups),
@@ -125,7 +122,7 @@ def test_criterion_01_pdq_label_matches_cdf_oracle():
         zero_mass = 0.1 + 0.05 * group
         raw = np.where(rng.random(n) < zero_mass, 0.0,
                        rng.gamma(0.9, 6.0 * (1 + group), size=n))
-        table = fit_quantile_table(raw, T=T, group=group)
+        table = fit_quantile_table(raw, T=T)
         order = np.sort(raw)
         probes = np.concatenate([raw[:2000], rng.uniform(0, raw.max(), 500)])
         labels = quantile_labels(probes, table)

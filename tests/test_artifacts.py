@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from ltvrank import author_ltv, datamodel, pdq, predictor, synthgen
+from ltvrank import artifacts, author_ltv, datamodel, pdq, predictor, synthgen
 from ltvrank.artifacts import DatasetFormatError
 from ltvrank.cli import main
 from ltvrank.config import load_config
@@ -277,3 +277,20 @@ def test_loader_rejects_inconsistent_records(loader, defect, artifact_dir, tmp_p
     with pytest.raises(DatasetFormatError) as exc:
         load(path)
     assert f"{path}:{line_no}:" in str(exc.value) and message in str(exc.value)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    """A record source that raises mid-write leaves neither ``<path>.tmp``
+    nor a change to the old ``<path>``."""
+    path = tmp_path / "out.txt"
+    artifacts.write(path, "demo", ["old"], meta="key=0 seed=0")
+    before = path.read_bytes()
+
+    def lines():
+        yield "new"
+        raise ValueError("source failed")
+
+    with pytest.raises(ValueError, match="source failed"):
+        artifacts.write(path, "demo", lines(), meta="key=1 seed=0")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

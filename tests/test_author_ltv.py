@@ -133,7 +133,7 @@ class TestDualStream:
 
     def test_boundary_t_equals_n(self):
         ds = self.build_dataset()
-        plan = plan_dual_stream(ds, t=7, N=7)
+        plan = plan_dual_stream(ds, t=7, N=7, aggregates=aggregate_author_days(ds))
         rows = list(row_sessions(ds))
         assert len(plan.delayed)
         for row in plan.delayed:
@@ -143,14 +143,14 @@ class TestDualStream:
     def test_t_below_n_warns_empty(self):
         ds = self.build_dataset()
         with pytest.warns(UserWarning, match="delayed stream is empty"):
-            plan = plan_dual_stream(ds, t=3, N=7)
+            plan = plan_dual_stream(ds, t=3, N=7, aggregates=aggregate_author_days(ds))
         assert len(plan.delayed) == 0 and len(plan.author_labels) == 0
         assert len(plan.standard)
 
     def test_ten_day_n7_t9_anchors_day2(self):
         ds = self.build_dataset(n_days=10)
         agg = aggregate_author_days(ds)
-        plan = plan_dual_stream(ds, t=9, N=7)
+        plan = plan_dual_stream(ds, t=9, N=7, aggregates=agg)
         rows = list(row_sessions(ds))
         assert len(plan.delayed)
         for row, label in zip(plan.delayed, plan.author_labels, strict=True):
@@ -161,19 +161,20 @@ class TestDualStream:
         assert audit_no_leakage(plan, ds, N=7, alpha=0.8) == []
 
     def test_negative_day_rejected(self):
+        ds = self.build_dataset()
         with pytest.raises(ValueError, match=">= 0"):
-            plan_dual_stream(self.build_dataset(), t=-1, N=7)
+            plan_dual_stream(ds, t=-1, N=7, aggregates=aggregate_author_days(ds))
 
     def test_audit_flags_tampered_label(self):
         ds = self.build_dataset()
-        plan = plan_dual_stream(ds, t=9, N=7)
+        plan = plan_dual_stream(ds, t=9, N=7, aggregates=aggregate_author_days(ds))
         plan.author_labels[0] += 1.0
         violations = audit_no_leakage(plan, ds, N=7, alpha=0.8)
         assert len(violations) == 1 and "!=" in violations[0]
 
     def test_audit_flags_future_window(self):
         ds = self.build_dataset()
-        plan = plan_dual_stream(ds, t=9, N=7)
+        plan = plan_dual_stream(ds, t=9, N=7, aggregates=aggregate_author_days(ds))
         plan.training_day = 8  # pretend the plan ran a day earlier
         violations = audit_no_leakage(plan, ds, N=7, alpha=0.8)
         assert violations

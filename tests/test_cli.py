@@ -131,6 +131,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "validation error: page group 0 has 24 rows, fewer than pdq.T=50" in err
 
+    def test_negative_v2v_top_k_exit_one(self, tmp_path, capsys):
+        assert run("gen", tmp_path, "--set", "gen.v2v_top_k=-1") == 1
+        assert "validation error: v2v_top_k must be non-negative, got -1" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("key", ["attribution.mode=binary", "pdq.mode=table4", "pdq.M=7"])
     def test_removed_key_exit_one(self, tmp_path, capsys, key):
         assert run("gen", tmp_path, "--set", key) == 1
@@ -350,6 +356,43 @@ class TestStageInputs:
         assert run("report", work, "--set", "train.learning_rate=0.03") == 1
         err = capsys.readouterr().err
         assert "missing input" in err and str(work / "tables.txt") in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("pdq.T=0", "pdq.T must be positive, got 0"),
+        ("cap_q=0", "cap_q must be positive, got 0.0"),
+    ], ids=["T", "cap_q"])
+    def test_labels_rejects_nonpositive_key(self, cold, tmp_path, capsys, setting, message):
+        """Labels refuses the key before it writes anything."""
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        capsys.readouterr()
+        assert run("labels", work, "--set", setting) == 1
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert _artifact_bytes(work) == _artifact_bytes(cold)
+
+    def test_replay_rejects_no_seeds(self, cold, tmp_path, capsys):
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        capsys.readouterr()
+        assert run("replay", work, "--set", "replay.n_seeds=0") == 1
+        assert "validation error: replay.n_seeds must be >= 1, got 0" in \
+            capsys.readouterr().err
+        assert _artifact_bytes(work) == _artifact_bytes(cold)
+
+    def test_report_failing_mid_write_leaves_no_temp_file(self, cold, tmp_path, capsys):
+        """Report reads ``replay.txt`` while it writes ``report.txt``; a
+        ``replay.txt`` cut short of its last newline fails that write, and
+        no ``report.txt.tmp`` is left behind."""
+        work = tmp_path / "work"
+        shutil.copytree(cold, work)
+        (work / "report.txt").unlink()
+        replay = work / "replay.txt"
+        replay.write_bytes(replay.read_bytes()[:-1])
+        capsys.readouterr()
+        assert run("report", work) == 1
+        assert f"{replay}:" in capsys.readouterr().err
+        assert not (work / "report.txt").exists()
+        assert not list(work.glob("*.tmp"))
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltvrank import datamodel, pdq
+from ltvrank import datamodel
 from ltvrank.config import (
     ConfigError,
     DEFAULTS,
@@ -235,9 +235,8 @@ def test_labels_computes_slide_times_once(pipeline_dir, tmp_path, monkeypatch):
     copy = tmp_path / "work"
     shutil.copytree(workdir, copy)
     calls = []
-    for module in (datamodel, pdq):
-        monkeypatch.setattr(module, "slide_times", lambda *a, _f=module.slide_times, **k:
-                            calls.append(1) or _f(*a, **k))
+    monkeypatch.setattr(datamodel, "slide_times", lambda *a, _f=datamodel.slide_times, **k:
+                        calls.append(1) or _f(*a, **k))
     RUNNERS["labels"](config, copy, "key=0 seed=0", {})
     assert len(calls) == 1
     for name in STAGE_FILES["labels"][1]:

@@ -4,14 +4,13 @@ import pytest
 from ltvrank.datamodel import session_slide_times, slide_times
 from ltvrank.pdq import (
     PAGE_GROUPS,
-    PageGroupSpec,
     QuantileTable,
-    TABLE4_BOUNDARIES,
     bucketize,
     build_pdq_labels,
     fit_quantile_table,
     fit_tables,
     load_tables,
+    page_groups,
     quantile_label,
     quantile_labels,
     save_tables,
@@ -24,34 +23,31 @@ def table(thresholds, S_k=None):
     arr = np.asarray(thresholds, dtype=float)
     if S_k is None:
         S_k = int(np.sum(np.cumsum(arr != 0.0) == 0))
-    return QuantileTable(group=0, T=len(thresholds),
+    return QuantileTable(T=len(thresholds),
                          thresholds=tuple(float(x) for x in thresholds), S_k=S_k)
+
+
+def columns(dataset):
+    """The slide-time and page-group columns of ``dataset``."""
+    return slide_times(dataset), page_groups(dataset.columns["page_index"])
 
 
 class TestPageGroups:
     def test_table4_mode(self):
-        assert PAGE_GROUPS.ranges == TABLE4_BOUNDARIES
-        assert PAGE_GROUPS.group_of(4) == 2  # page 4 lives in the 3-5 group
-
-    def test_group_array_matches_group_of(self, small_dataset):
-        spec = PAGE_GROUPS
-        pages = small_dataset.columns["page_index"]
-        grouped = spec.group_array(pages)
-        for p, g in zip(pages[:200], grouped[:200]):
-            assert spec.group_of(int(p)) == g
-
-    def test_group_array_rejects_negative_page_like_group_of(self):
-        spec = PageGroupSpec(ranges=TABLE4_BOUNDARIES)
-        with pytest.raises(ValueError, match="page_index must be >= 0"):
-            spec.group_of(-2)
-        with pytest.raises(ValueError, match="page_index must be >= 0"):
-            spec.group_array(np.array([0, 5, -2], dtype=np.int64))
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            PageGroupSpec(ranges=((0, 3), (4, None)))  # gap at 3
-        with pytest.raises(ValueError):
-            PageGroupSpec(ranges=((0, 3),))  # bounded tail
+        """``PAGE_GROUPS`` runs contiguously from page 0 to an open last
+        range, and ``page_groups`` gives each page the range a scalar scan
+        finds and rejects a negative page."""
+        los = [lo for lo, _ in PAGE_GROUPS]
+        his = [hi for _, hi in PAGE_GROUPS]
+        assert los[0] == 0 and his[-1] is None
+        assert his[:-1] == los[1:] and all(lo < hi for lo, hi in PAGE_GROUPS[:-1])
+        pages = np.arange(80, dtype=np.int64)
+        expect = [next(k for k, (lo, hi) in enumerate(PAGE_GROUPS)
+                       if lo <= p and (hi is None or p < hi)) for p in pages.tolist()]
+        assert page_groups(pages).tolist() == expect
+        assert page_groups(np.array([4]))[0] == 2  # page 4 lives in the 3-5 group
+        with pytest.raises(ValueError, match="page_index must be >= 0, got -2"):
+            page_groups(np.array([0, 5, -2], dtype=np.int64))
 
 
 class TestFitQuantileTable:
@@ -127,12 +123,12 @@ class TestBucketizeAndLabel:
 
 class TestBuildLabels:
     def test_single_group_matches_cdf_oracle(self, small_dataset):
-        spec = PageGroupSpec(ranges=((0, None),))
         T = 50
-        tables = fit_tables(small_dataset, spec, T=T)
-        labels = build_pdq_labels(small_dataset, spec, tables)
         slide = np.concatenate([session_slide_times(s)
                                 for s in small_dataset.sessions])
+        one_group = np.zeros(len(slide), dtype=np.int64)
+        tables = fit_tables(slide, one_group, T=T)
+        labels = build_pdq_labels(slide, one_group, tables)
         # oracle: empirical CDF floor at resolution 1/T; the censored zero
         # mass is counted inclusively (a zero maps to the zero quantile S_k/T)
         order = np.sort(slide)
@@ -145,9 +141,10 @@ class TestBuildLabels:
     def test_all_identical_slide_times(self):
         ds = as_dataset(*(make_session([3.0] * 8, session_id=i)
                           for i in range(20)))
-        spec = PageGroupSpec(ranges=((0, None),))
-        tables = fit_tables(ds, spec, T=4)
-        labels = build_pdq_labels(ds, spec, tables)
+        slide = slide_times(ds)
+        one_group = np.zeros(len(slide), dtype=np.int64)
+        tables = fit_tables(slide, one_group, T=4)
+        labels = build_pdq_labels(slide, one_group, tables)
         # within a session the final suffix is shorter, so compare per position
         per_pos = labels.reshape(20, 8)
         assert np.all(per_pos == per_pos[0])
@@ -157,44 +154,38 @@ class TestBuildLabels:
         # equal within-group ranks must receive equal labels
         rng = np.random.default_rng(4)
         base = rng.gamma(1.0, 5.0, size=400)
-        t0 = fit_quantile_table(base, T=10, group=0)
-        t1 = fit_quantile_table(base * 10.0, T=10, group=1)
+        t0 = fit_quantile_table(base, T=10)
+        t1 = fit_quantile_table(base * 10.0, T=10)
         probe = np.quantile(base, [0.1, 0.3, 0.5, 0.7, 0.9])
         l0 = quantile_labels(probe, t0)
         l1 = quantile_labels(probe * 10.0, t1)
         assert np.allclose(l0, l1)
 
     def test_missing_table_raises(self, small_dataset):
-        spec = PAGE_GROUPS
-        tables = fit_tables(small_dataset, spec)
+        slide, groups = columns(small_dataset)
+        tables = fit_tables(slide, groups)
         tables.pop(0)
         with pytest.raises(KeyError, match="page group 0"):
-            build_pdq_labels(small_dataset, spec, tables)
+            build_pdq_labels(slide, groups, tables)
+
+    def test_sparse_group_shares_shallower_table(self):
+        """A group with fewer than T rows shares the table of the nearest
+        shallower fitted group; an empty group gets none."""
+        slide = np.arange(30, dtype=np.float64)
+        groups = np.repeat([0, 2, 5], [10, 15, 5])
+        tables = fit_tables(slide, groups, T=10)
+        assert sorted(tables) == [0, 2, 5] and tables[5] is tables[2]
 
     def test_sparse_first_group_raises(self):
         """A group with too few rows for T quantiles and no shallower group
         to inherit a table from fails, naming the group, its rows and T."""
         ds = as_dataset(make_session([1.0] * 8))
         with pytest.raises(ValueError, match=r"page group 0 has 4 rows, fewer than pdq\.T=10"):
-            fit_tables(ds, PAGE_GROUPS, T=10)
-
-
-def test_given_slide_times_change_nothing(small_dataset):
-    """Tables and labels from slide times the caller already holds equal
-    those computed from the dataset."""
-    spec = PAGE_GROUPS
-    slide = slide_times(small_dataset, Q=120.0)
-    tables = fit_tables(small_dataset, spec, Q=120.0)
-    assert fit_tables(small_dataset, spec, Q=120.0, slide=slide) == tables
-    assert np.array_equal(build_pdq_labels(small_dataset, spec, tables, Q=120.0, slide=slide),
-                          build_pdq_labels(small_dataset, spec, tables, Q=120.0))
+            fit_tables(*columns(ds), T=10)
 
 
 def test_tables_round_trip(tmp_path, small_dataset):
-    spec = PAGE_GROUPS
-    tables = fit_tables(small_dataset, spec)
+    tables = fit_tables(*columns(small_dataset))
     p = tmp_path / "tables.txt"
-    save_tables(p, spec, tables, meta="config=abc seed=0")
-    spec2, tables2 = load_tables(p)
-    assert spec2 == spec
-    assert tables2 == tables
+    save_tables(p, tables, meta="config=abc seed=0")
+    assert load_tables(p) == tables

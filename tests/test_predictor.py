@@ -49,10 +49,12 @@ def raw_ids(records):
 
 
 def encode_oracle(records):
-    """Per-record ``encode_features``: ``group_of`` and Python-int hashing."""
+    """Per-record ``encode_features``: a scan of ``PAGE_GROUPS`` and
+    Python-int hashing."""
     rows = []
     for r in records:
-        group = PAGE_GROUPS.group_of(r.page_index)
+        group = next(k for k, (lo, hi) in enumerate(PAGE_GROUPS)
+                     if lo <= r.page_index and (hi is None or r.page_index < hi))
         ids = (r.user_id, r.video_id, r.author_id, r.category_id, group)
         rows.append([(int(i) * 2654435761) % VOCAB[f] for i, f in zip(ids, FEATURE_FIELDS)])
     return np.array(rows, dtype=np.int64).reshape(-1, len(FEATURE_FIELDS))
