@@ -32,22 +32,42 @@ def columns(dataset):
     return slide_times(dataset), page_groups(dataset.columns["page_index"])
 
 
+def group_of(page: int) -> int:
+    """The ``PAGE_GROUPS`` range holding ``page``, by a scalar scan."""
+    return next(k for k, (lo, hi) in enumerate(PAGE_GROUPS)
+                if lo <= page and (hi is None or page < hi))
+
+
 class TestPageGroups:
     def test_table4_mode(self):
-        """``PAGE_GROUPS`` runs contiguously from page 0 to an open last
-        range, and ``page_groups`` gives each page the range a scalar scan
-        finds and rejects a negative page."""
+        """``PAGE_GROUPS`` runs contiguously from page 0 to an open last range."""
         los = [lo for lo, _ in PAGE_GROUPS]
         his = [hi for _, hi in PAGE_GROUPS]
         assert los[0] == 0 and his[-1] is None
         assert his[:-1] == los[1:] and all(lo < hi for lo, hi in PAGE_GROUPS[:-1])
-        pages = np.arange(80, dtype=np.int64)
-        expect = [next(k for k, (lo, hi) in enumerate(PAGE_GROUPS)
-                       if lo <= p and (hi is None or p < hi)) for p in pages.tolist()]
-        assert page_groups(pages).tolist() == expect
         assert page_groups(np.array([4]))[0] == 2  # page 4 lives in the 3-5 group
+
+    def test_group_array_matches_group_of(self, small_dataset):
+        pages = np.concatenate([np.arange(80, dtype=np.int64),
+                                small_dataset.columns["page_index"][:200]])
+        assert page_groups(pages).tolist() == [group_of(int(p)) for p in pages]
+
+    def test_group_array_rejects_negative_page_like_group_of(self):
+        with pytest.raises(ValueError, match="page_index must be >= 0, got -2"):
+            page_groups(np.array([-2], dtype=np.int64))
         with pytest.raises(ValueError, match="page_index must be >= 0, got -2"):
             page_groups(np.array([0, 5, -2], dtype=np.int64))
+
+    def test_invalid_spec_rejected(self, tmp_path):
+        """A tables file whose page groups are not ``PAGE_GROUPS`` is rejected."""
+        p = tmp_path / "tables.txt"
+        for field in ("0:3,4:inf", "0:3"):  # gap at 3; bounded tail
+            save_tables(p, {0: table([0.0, 1.0])})
+            lines = p.read_text().splitlines(keepends=True)
+            p.write_text("".join(f"G\t{field}\n" if line.startswith("G\t") else line
+                                 for line in lines))
+            with pytest.raises(ValueError, match=f"page groups '{field}'"):
+                load_tables(p)
 
 
 class TestFitQuantileTable:
